@@ -213,9 +213,9 @@ std::vector<FusionRow> run_fusion_sweep(const harness::HarnessConfig& base) {
   // Two harnesses over identically seeded input: the only difference is
   // PipelineOptions.fuse_stages on the Beam path.
   harness::HarnessConfig unfused_config = base;
-  unfused_config.fuse_stages = false;
+  unfused_config.pipeline.fuse_stages = false;
   harness::HarnessConfig fused_config = base;
-  fused_config.fuse_stages = true;
+  fused_config.pipeline.fuse_stages = true;
 
   std::fprintf(stderr, "fusion sweep: unfused + native setups\n");
   harness::BenchmarkHarness unfused_harness(unfused_config);
@@ -301,11 +301,11 @@ std::vector<AsyncRow> run_async_sweep(const harness::HarnessConfig& base) {
   }
 
   // Two harnesses over identically seeded input: the only difference is
-  // HarnessConfig.async_sinks (-> QueryContext.async_sinks -> every sink).
+  // HarnessConfig.pipeline.async_sinks (-> QueryContext.async_sinks -> every sink).
   harness::HarnessConfig sync_config = base;
-  sync_config.async_sinks = false;
+  sync_config.pipeline.async_sinks = false;
   harness::HarnessConfig async_config = base;
-  async_config.async_sinks = true;
+  async_config.pipeline.async_sinks = true;
 
   std::fprintf(stderr, "async sweep: sync sinks (paper baseline)\n");
   harness::BenchmarkHarness sync_harness(sync_config);
@@ -399,9 +399,9 @@ std::vector<CoderRow> run_coders_sweep(const harness::HarnessConfig& base) {
   // Two harnesses over identically seeded input: the only difference is
   // PipelineOptions.elide_coders on the Beam path.
   harness::HarnessConfig baseline_config = base;
-  baseline_config.elide_coders = false;
+  baseline_config.pipeline.elide_coders = false;
   harness::HarnessConfig elided_config = base;
-  elided_config.elide_coders = true;
+  elided_config.pipeline.elide_coders = true;
 
   std::fprintf(stderr, "coders sweep: baseline + native setups\n");
   harness::BenchmarkHarness baseline_harness(baseline_config);

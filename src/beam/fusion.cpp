@@ -109,16 +109,9 @@ StageFactory fused_stage(std::vector<StageFactory> members,
   };
 }
 
-FusionResult fuse_graph(const BeamGraph& graph) {
+BeamGraph fuse_graph(const BeamGraph& graph) {
   const auto& nodes = graph.nodes();
-
-  // Consumer lists once, up front (consumers_of is a scan per call).
-  std::vector<std::vector<int>> consumers(nodes.size());
-  for (const auto& node : nodes) {
-    for (const int input : node.inputs) {
-      consumers[static_cast<std::size_t>(input)].push_back(node.id);
-    }
-  }
+  const auto consumers = consumer_lists(graph);
 
   // A node may join a chain if it is fusible and not a sink (terminal).
   const auto chainable = [&](int id) {
@@ -156,8 +149,7 @@ FusionResult fuse_graph(const BeamGraph& graph) {
 
   // Rebuild the graph, one node per group. Groups are headed in ascending
   // id order, so every producer's group is emitted before its consumers'.
-  FusionResult result;
-  result.original_node_count = nodes.size();
+  BeamGraph fused_graph;
   std::map<int, int> old_to_new;
   for (const auto& group : groups) {
     const TransformNode& head = nodes[static_cast<std::size_t>(group.front())];
@@ -189,27 +181,10 @@ FusionResult fuse_graph(const BeamGraph& graph) {
     for (const int input : head.inputs) {
       fused.inputs.push_back(old_to_new.at(input));
     }
-    const int new_id = result.graph.add_node(std::move(fused));
+    const int new_id = fused_graph.add_node(std::move(fused));
     for (const int member : group) old_to_new[member] = new_id;
-    if (group.size() > 1) {
-      std::vector<std::string> member_names;
-      for (const int member : group) {
-        member_names.push_back(nodes[static_cast<std::size_t>(member)].name);
-      }
-      result.stages.push_back(
-          FusedStageInfo{.node_id = new_id, .members = std::move(member_names)});
-    }
   }
-  return result;
-}
-
-std::string describe(const FusionResult& result) {
-  std::string out = "fusion: " + std::to_string(result.original_node_count) +
-                    " -> " + std::to_string(result.node_count()) + " nodes\n";
-  for (const auto& stage : result.stages) {
-    out += "  " + fused_name(stage.members) + "\n";
-  }
-  return out;
+  return fused_graph;
 }
 
 }  // namespace dsps::beam

@@ -20,33 +20,12 @@
 // unfused translation is the paper-faithful plan the figures reproduce.
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "beam/graph.hpp"
 
 namespace dsps::beam {
-
-/// One fused chain in the rewritten graph.
-struct FusedStageInfo {
-  /// Node id inside FusionResult::graph.
-  int node_id = 0;
-  /// Original transform names, in chain order.
-  std::vector<std::string> members;
-};
-
-struct FusionResult {
-  BeamGraph graph;
-  /// Only chains with >= 2 members; singletons pass through untouched.
-  std::vector<FusedStageInfo> stages;
-  std::size_t original_node_count = 0;
-
-  std::size_t node_count() const { return graph.nodes().size(); }
-  std::size_t nodes_eliminated() const {
-    return original_node_count - node_count();
-  }
-};
 
 /// True when the pass may place `node` inside a fused chain: an element-wise
 /// ParDo with a single input and no keyed routing or state. (Being a chain
@@ -63,11 +42,10 @@ bool fusible(const TransformNode& node);
 StageFactory fused_stage(std::vector<StageFactory> members,
                          std::vector<std::string> member_names = {});
 
-/// Rewrites `graph`, fusing maximal eligible chains. Node ids are
-/// renumbered; relative (topological) order is preserved.
-FusionResult fuse_graph(const BeamGraph& graph);
-
-/// Human-readable one-line-per-stage summary (plan dumps, bench logs).
-std::string describe(const FusionResult& result);
+/// Rewrites `graph`, fusing maximal eligible chains into kFused nodes named
+/// "Fused[<member> + <member> ...]" in chain order. Node ids are renumbered;
+/// relative (topological) order is preserved. Runners reach the pass only
+/// through the physical plan (beam/physical_plan.hpp).
+BeamGraph fuse_graph(const BeamGraph& graph);
 
 }  // namespace dsps::beam

@@ -95,17 +95,6 @@ class BeamGraph {
     nodes_.at(static_cast<std::size_t>(id)).urn = std::move(urn);
   }
 
-  /// Ids of nodes consuming `id`'s output.
-  std::vector<int> consumers_of(int id) const {
-    std::vector<int> out;
-    for (const auto& node : nodes_) {
-      for (const int input : node.inputs) {
-        if (input == id) out.push_back(node.id);
-      }
-    }
-    return out;
-  }
-
   bool contains_stateful() const {
     for (const auto& node : nodes_) {
       if (node.stateful) return true;
@@ -116,5 +105,16 @@ class BeamGraph {
  private:
   std::vector<TransformNode> nodes_;
 };
+
+/// Consumer ids of every node, indexed by node id, in one pass.
+inline std::vector<std::vector<int>> consumer_lists(const BeamGraph& graph) {
+  std::vector<std::vector<int>> consumers(graph.nodes().size());
+  for (const auto& node : graph.nodes()) {
+    for (const int input : node.inputs) {
+      consumers[static_cast<std::size_t>(input)].push_back(node.id);
+    }
+  }
+  return consumers;
+}
 
 }  // namespace dsps::beam

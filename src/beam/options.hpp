@@ -37,10 +37,10 @@ struct PipelineOptions {
   /// much of that cost a fingerprint-aware runner recovers.
   bool elide_coders = false;
 
-  /// Resolves the env overrides: STREAMSHIM_FUSE_STAGES=1 turns fusion on,
+  /// The one parser of the env overrides (harness::HarnessConfig reads its
+  /// flags through here): STREAMSHIM_FUSE_STAGES=1 turns fusion on,
   /// STREAMSHIM_ASYNC_SINKS=1 turns async sinks on,
-  /// STREAMSHIM_CODER_ELISION=1 turns coder elision on, for every runner
-  /// that reads its options through here.
+  /// STREAMSHIM_CODER_ELISION=1 turns coder elision on.
   static PipelineOptions from_env() {
     return PipelineOptions{
         .fuse_stages = env_flag("STREAMSHIM_FUSE_STAGES"),

@@ -44,6 +44,14 @@ class PipelineRunner {
   virtual ~PipelineRunner() = default;
   virtual Result<PipelineResult> run(const Pipeline& pipeline) = 0;
   virtual std::string name() const = 0;
+
+  /// The engine's execution plan for the translated job, without running it
+  /// (the Fig. 12/13 reproductions). Runners whose engine plans per batch
+  /// have no static rendering.
+  virtual Result<std::string> translate_plan(const Pipeline& /*pipeline*/)
+      const {
+    return Status::unsupported(name() + " has no static plan rendering");
+  }
 };
 
 }  // namespace dsps::beam

@@ -1,15 +1,13 @@
 #include "beam/runners/apex_runner.hpp"
 
-#include <atomic>
-#include <map>
 #include <memory>
 #include <string_view>
 #include <utility>
+#include <vector>
 
-#include "beam/fusion.hpp"
-#include "common/clock.hpp"
 #include "apex/dag.hpp"
 #include "apex/engine.hpp"
+#include "beam/physical_plan.hpp"
 #include "runtime/invoker.hpp"
 #include "runtime/metrics.hpp"
 
@@ -117,18 +115,22 @@ class BeamApexStage final : public apex::Operator {
   std::unique_ptr<StageExecutor> executor_;
 };
 
-Status translate(const BeamGraph& graph, const ApexRunnerOptions& options,
-                 apex::Dag& dag) {
-  if (graph.nodes().empty()) {
+/// Elided edges this translation keeps in-process without a codec.
+std::uint64_t elided_edges(const PhysicalPlan& plan) {
+  std::uint64_t count = 0;
+  for (const auto& planned : plan.nodes) {
+    for (const auto& edge : planned.inputs) count += edge.elided ? 1 : 0;
+  }
+  return count;
+}
+
+Status translate(const PhysicalPlan& plan, apex::Dag& dag) {
+  if (plan.graph.nodes().empty()) {
     return Status::failed_precondition("empty pipeline");
   }
-  std::map<int, int> beam_to_apex;
-  for (const auto& node : graph.nodes()) {
-    // The node's parallelism hint wins over the pipeline default — the
-    // runner maps it onto Apex's native operator partitioning.
-    const int node_parallelism = node.parallelism_hint > 0
-                                     ? node.parallelism_hint
-                                     : options.parallelism;
+  std::vector<int> beam_to_apex;
+  for (const auto& node : plan.graph.nodes()) {
+    const PlanNode& planned = plan.at(node.id);
     int apex_id;
     if (node.kind == TransformKind::kRead) {
       apex_id = dag.add_input_operator(node.name, [factory = node.reader] {
@@ -136,49 +138,44 @@ Status translate(const BeamGraph& graph, const ApexRunnerOptions& options,
       });
       // Partitioned read: each physical instance is a reader shard
       // (BeamApexInput passes its partition index/count to the factory).
-      if (node_parallelism > 1) dag.set_partitions(apex_id, node_parallelism);
+      if (planned.parallelism > 1) {
+        dag.set_partitions(apex_id, planned.parallelism);
+      }
     } else {
       apex_id = dag.add_operator(node.name,
                                  [factory = node.stage,
-                                  pipeline_options = options.pipeline,
+                                  pipeline_options = plan.options,
                                   site = "beam." + node.name] {
         return std::make_unique<BeamApexStage>(factory, pipeline_options,
                                                site);
       });
-      const bool terminal = graph.consumers_of(node.id).empty();
       const bool partitionable = node.kind == TransformKind::kParDo &&
                                  !node.key_hash && !node.stateful &&
-                                 !terminal;
-      if (partitionable && node_parallelism > 1) {
-        dag.set_partitions(apex_id, node_parallelism);
+                                 !planned.terminal;
+      if (partitionable && planned.parallelism > 1) {
+        dag.set_partitions(apex_id, planned.parallelism);
       }
     }
-    beam_to_apex[node.id] = apex_id;
+    beam_to_apex.push_back(apex_id);
 
-    for (const int input : node.inputs) {
-      const auto& producer = graph.node(input);
+    for (const auto& input : planned.inputs) {
+      const auto& producer = plan.graph.node(input.from);
+      const int from = beam_to_apex.at(static_cast<std::size_t>(input.from));
       apex::CodecFactory codec;
       apex::Locality locality = apex::Locality::kContainerLocal;
-      if (producer.output_coder != nullptr) {
-        if (options.pipeline.elide_coders && edge_elidable(producer, node)) {
-          // Matching fingerprints prove the round trip is the identity:
-          // keep the hop in-process and skip the codec entirely.
-          runtime::MetricsRegistry::global()
-              .counter("runtime.serde.elided_edges")
-              .add();
-        } else {
-          // One container per operator: the hop serializes.
-          locality = apex::Locality::kNodeLocal;
-          codec = [coder = producer.output_coder] {
-            return std::make_unique<BeamTupleCodec>(coder);
-          };
-        }
+      // An elided edge's round trip is the identity: the hop stays
+      // in-process and skips the codec entirely. Any other edge with a
+      // producer coder crosses containers, one per operator, and serializes.
+      if (!input.elided && producer.output_coder != nullptr) {
+        locality = apex::Locality::kNodeLocal;
+        codec = [coder = producer.output_coder] {
+          return std::make_unique<BeamTupleCodec>(coder);
+        };
       }
-      dag.add_stream("s_" + std::to_string(input) + "_" +
+      dag.add_stream("s_" + std::to_string(input.from) + "_" +
                          std::to_string(node.id),
-                     apex::PortRef{beam_to_apex.at(input), 0},
-                     apex::PortRef{beam_to_apex.at(node.id), 0}, locality,
-                     std::move(codec));
+                     apex::PortRef{from, 0}, apex::PortRef{apex_id, 0},
+                     locality, std::move(codec));
     }
   }
   return Status::ok();
@@ -187,12 +184,15 @@ Status translate(const BeamGraph& graph, const ApexRunnerOptions& options,
 }  // namespace
 
 Result<PipelineResult> ApexRunner::run(const Pipeline& pipeline) {
-  const BeamGraph graph = options_.pipeline.fuse_stages &&
-                                  !pipeline.graph().nodes().empty()
-                              ? fuse_graph(pipeline.graph()).graph
-                              : pipeline.graph();
+  const PhysicalPlan plan = make_physical_plan(
+      pipeline.graph(), options_.pipeline, options_.parallelism);
   apex::Dag dag;
-  if (Status s = translate(graph, options_, dag); !s.is_ok()) return s;
+  if (Status s = translate(plan, dag); !s.is_ok()) return s;
+  if (const std::uint64_t elided = elided_edges(plan); elided > 0) {
+    runtime::MetricsRegistry::global()
+        .counter("runtime.serde.elided_edges")
+        .add(elided);
+  }
 
   yarn::ResourceManager rm;
   for (int n = 0; n < options_.cluster_nodes; ++n) {
@@ -201,7 +201,7 @@ Result<PipelineResult> ApexRunner::run(const Pipeline& pipeline) {
                                options_.memory_mb_per_node});
   }
 
-  const auto plan = apex::render_physical_plan(dag);
+  const auto rendered = apex::render_physical_plan(dag);
   // The restart hint maps onto YARN application reattempts; the Beam
   // readers are rebuilt per attempt and re-read the bounded input.
   apex::EngineConfig engine_config;
@@ -213,7 +213,7 @@ Result<PipelineResult> ApexRunner::run(const Pipeline& pipeline) {
   PipelineResult result;
   result.state = PipelineState::kDone;
   result.duration_ms = metrics.value().gauge("app.duration_ms");
-  if (plan.is_ok()) result.execution_plan = plan.value();
+  if (rendered.is_ok()) result.execution_plan = rendered.value();
   // Unified schema: "operator.<name>.tuples_in" -> per-transform counts.
   constexpr std::string_view kPrefix = "operator.";
   constexpr std::string_view kSuffix = ".tuples_in";
@@ -232,12 +232,10 @@ Result<PipelineResult> ApexRunner::run(const Pipeline& pipeline) {
 
 Result<std::string> ApexRunner::translate_plan(
     const Pipeline& pipeline) const {
-  const BeamGraph graph = options_.pipeline.fuse_stages &&
-                                  !pipeline.graph().nodes().empty()
-                              ? fuse_graph(pipeline.graph()).graph
-                              : pipeline.graph();
+  const PhysicalPlan plan = make_physical_plan(
+      pipeline.graph(), options_.pipeline, options_.parallelism);
   apex::Dag dag;
-  if (Status s = translate(graph, options_, dag); !s.is_ok()) return s;
+  if (Status s = translate(plan, dag); !s.is_ok()) return s;
   return apex::render_physical_plan(dag);
 }
 

@@ -9,6 +9,12 @@
 //    grow with output volume: identity/projection (100% output) are hit
 //    hardest, sample (40%) less, grep (0.3%) barely — exactly the pattern
 //    of Fig. 11 and the §III-C3 discussion.
+//
+// The runner maps a beam::PhysicalPlan (beam/physical_plan.hpp) onto the
+// engine: plan parallelism -> operator partitions (reads and non-terminal,
+// unkeyed, stateless ParDos); an elided edge -> a CONTAINER_LOCAL stream
+// without codec; any other edge with a producer coder -> a NODE_LOCAL stream
+// that serializes.
 #pragma once
 
 #include "beam/options.hpp"
@@ -30,11 +36,11 @@ struct ApexRunnerOptions {
   /// operator instances; Beam readers are one-shot, so a reattempt re-reads
   /// the bounded input from the beginning (at-least-once).
   RestartHint restart{};
-  /// Portable pipeline-level knobs. With `fuse_stages`, a fused chain
-  /// deploys as ONE container — interior hops neither serialize nor cross
-  /// containers, so the per-hop windowed-value coder cost (the §III-C3
-  /// catastrophe) is paid once per chain instead of once per transform.
-  /// Off by default (paper-faithful translation).
+  /// Portable pipeline-level knobs, resolved by the physical plan. With
+  /// `fuse_stages`, a fused chain deploys as ONE container — interior hops
+  /// neither serialize nor cross containers, so the per-hop windowed-value
+  /// coder cost (the §III-C3 catastrophe) is paid once per chain instead of
+  /// once per transform. Off by default (paper-faithful translation).
   PipelineOptions pipeline{};
 };
 
@@ -46,7 +52,8 @@ class ApexRunner final : public PipelineRunner {
   std::string name() const override { return "ApexRunner"; }
 
   /// The translated physical plan without running.
-  Result<std::string> translate_plan(const Pipeline& pipeline) const;
+  Result<std::string> translate_plan(
+      const Pipeline& pipeline) const override;
 
  private:
   ApexRunnerOptions options_;

@@ -16,6 +16,10 @@ Result<PipelineResult> DirectRunner::run(const Pipeline& pipeline) {
   }
 
   Stopwatch watch;
+  const auto consumers_of =
+      [lists = consumer_lists(graph)](int id) -> const std::vector<int>& {
+    return lists[static_cast<std::size_t>(id)];
+  };
 
   // One executor per non-read node; one reader per read node. Each executor
   // pairs with an invoker carrying its "beam.<name>" attribution site.
@@ -40,7 +44,7 @@ Result<PipelineResult> DirectRunner::run(const Pipeline& pipeline) {
                                                  Element&& element) {
     auto& executor = executors.at(node_id);
     ++elements_in[node_id];
-    const auto consumers = graph.consumers_of(node_id);
+    const auto& consumers = consumers_of(node_id);
     const Emit emit = [&](Element&& out) {
       for (const int consumer : consumers) {
         Element copy = out;  // fan-out copies, as a distributed shuffle would
@@ -62,7 +66,7 @@ Result<PipelineResult> DirectRunner::run(const Pipeline& pipeline) {
     auto reader = node.reader(/*shard=*/0, /*num_shards=*/1);
     reader->open();
     Element element;
-    const auto consumers = graph.consumers_of(node.id);
+    const auto& consumers = consumers_of(node.id);
     while (reader->advance(element)) {
       ++elements_in[node.id];
       for (const int consumer : consumers) {
@@ -74,7 +78,7 @@ Result<PipelineResult> DirectRunner::run(const Pipeline& pipeline) {
   }
   for (const auto& node : graph.nodes()) {
     if (node.kind == TransformKind::kRead) continue;
-    const auto consumers = graph.consumers_of(node.id);
+    const auto& consumers = consumers_of(node.id);
     executors.at(node.id)->finish([&](Element&& out) {
       for (const int consumer : consumers) {
         Element copy = out;

@@ -1,11 +1,11 @@
 #include "beam/runners/flink_runner.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <utility>
+#include <vector>
 
-#include "beam/fusion.hpp"
+#include "beam/physical_plan.hpp"
 #include "flink/environment.hpp"
 #include "runtime/invoker.hpp"
 #include "runtime/metrics.hpp"
@@ -51,9 +51,9 @@ class BeamSourceFunction final : public flink::SourceFunction {
 class BeamStageOperator final : public flink::StreamOperator {
  public:
   BeamStageOperator(StageFactory factory, std::size_t bundle_size,
-                    PipelineOptions pipeline_options)
+                    PipelineOptions pipeline_options, bool recycle_boxes)
       : factory_(std::move(factory)), bundle_size_(bundle_size),
-        pipeline_options_(pipeline_options) {}
+        pipeline_options_(pipeline_options), recycle_boxes_(recycle_boxes) {}
 
   void open(const flink::RuntimeContext& /*context*/) override {
     executor_ = factory_();
@@ -61,7 +61,6 @@ class BeamStageOperator final : public flink::StreamOperator {
     // initializes in start().
     executor_->configure(pipeline_options_);
     executor_->start();
-    recycle_boxes_ = pipeline_options_.elide_coders;
     emit_ = [this](Element&& produced) {
       if (!free_boxes_.empty()) {
         flink::Elem box = std::move(free_boxes_.back());
@@ -106,7 +105,7 @@ class BeamStageOperator final : public flink::StreamOperator {
   PipelineOptions pipeline_options_;
   std::unique_ptr<StageExecutor> executor_;
   std::size_t since_bundle_ = 0;
-  bool recycle_boxes_ = false;
+  bool recycle_boxes_;
   flink::Collector* out_ = nullptr;
   Emit emit_;
   std::vector<flink::Elem> free_boxes_;
@@ -128,88 +127,86 @@ const char* translated_name(const TransformNode& node) {
   return "ParDoTranslation.RawParDo";
 }
 
-/// Builds the Flink-sim job for the (possibly fused) Beam graph.
-Status translate(const BeamGraph& graph, const FlinkRunnerOptions& options,
+/// Elided edges this translation skips serde on: the forward edges of an
+/// unfused plan (a fused plan chains by fusion, not by elision).
+std::uint64_t elided_edges(const PhysicalPlan& plan) {
+  if (plan.fused) return 0;
+  std::uint64_t count = 0;
+  for (const auto& planned : plan.nodes) {
+    for (const auto& edge : planned.inputs) {
+      if (edge.elided && edge.exchange == Exchange::kForward) ++count;
+    }
+  }
+  return count;
+}
+
+/// Builds the Flink-sim job for the physical plan.
+Status translate(const PhysicalPlan& plan, const FlinkRunnerOptions& options,
                  flink::StreamExecutionEnvironment& env) {
-  if (graph.nodes().empty()) {
+  if (plan.graph.nodes().empty()) {
     return Status::failed_precondition("empty pipeline");
   }
   env.set_parallelism(options.parallelism);
   // The paper-faithful translation runs one operator per transform: no
-  // chaining (Fig. 13's plan shape). When the fusion pass is opted in, the
-  // plan is already collapsed, so let the engine's own chaining glue the
-  // fused stage to its source and sink — direct calls end to end, like the
-  // native pipeline. What remains of the slowdown is then the structural
-  // cost of the abstraction (element boxing), not operator scheduling.
+  // chaining (Fig. 13's plan shape). A fused plan is already collapsed, so
+  // the engine's own chaining glues the fused stage to its source and sink —
+  // direct calls end to end, like the native pipeline. What remains of the
+  // slowdown is then the structural cost of the abstraction (element
+  // boxing), not operator scheduling.
   //
-  // Coder elision reaches the same plan shape by a different proof: the
-  // engine's chaining stays enabled, but each operator is chainable onto
-  // its producer only when the edge's coder fingerprints match — i.e. the
-  // encode→decode hop the unchained plan models is provably the identity.
-  const bool elide =
-      options.pipeline.elide_coders && !options.pipeline.fuse_stages;
-  if (!options.pipeline.fuse_stages && !elide) {
-    env.disable_operator_chaining();
-  }
-
-  std::map<int, int> beam_to_flink;
-  std::map<int, int> beam_parallelism;
-  for (const auto& node : graph.nodes()) {
+  // Coder elision reaches the same shape by a different proof: an unfused
+  // operator is chainable onto its producer only when every input edge is
+  // elided — i.e. the encode→decode hop the unchained plan models is
+  // provably the identity. With no elided edge nothing chains.
+  std::vector<int> beam_to_flink;
+  for (const auto& node : plan.graph.nodes()) {
+    const PlanNode& planned = plan.at(node.id);
     flink::StreamNode flink_node;
     flink_node.name = translated_name(node);
-    // The node's parallelism hint wins over the pipeline default — the
-    // runner maps it onto Flink's native per-operator parallelism.
-    const int node_parallelism = node.parallelism_hint > 0
-                                     ? node.parallelism_hint
-                                     : options.parallelism;
-    flink_node.parallelism = node_parallelism;
-    beam_parallelism[node.id] = node_parallelism;
+    flink_node.parallelism = planned.parallelism;
     if (node.kind == TransformKind::kRead) {
       flink_node.kind = flink::NodeKind::kSource;
       flink_node.make_source = [factory = node.reader] {
         return std::make_unique<BeamSourceFunction>(factory);
       };
     } else {
+      // Boxes arriving over an elided edge are recycled for the next emit
+      // (zero-copy hand-off, see BeamStageOperator::process).
+      bool all_elided = !planned.inputs.empty();
+      bool any_elided = false;
+      for (const auto& input : planned.inputs) {
+        all_elided &= input.elided;
+        any_elided |= input.elided;
+      }
+      if (!plan.fused) flink_node.chainable = all_elided;
       flink_node.kind = flink::NodeKind::kOperator;
       flink_node.make_operator = [factory = node.stage,
                                   bundle = options.bundle_size,
-                                  pipeline_options = options.pipeline] {
+                                  pipeline_options = plan.options,
+                                  recycle = any_elided] {
         return std::make_unique<BeamStageOperator>(factory, bundle,
-                                                   pipeline_options);
+                                                   pipeline_options, recycle);
       };
     }
-    if (elide && node.kind != TransformKind::kRead) {
-      // Chainable only when every input edge's round trip is the identity;
-      // an unproven edge keeps the paper's operator boundary.
-      bool all_elidable = !node.inputs.empty();
-      for (const int input : node.inputs) {
-        if (!edge_elidable(graph.node(input), node)) all_elidable = false;
-      }
-      flink_node.chainable = all_elidable;
-    }
-    const int flink_id = env.add_node(std::move(flink_node));
-    beam_to_flink[node.id] = flink_id;
+    beam_to_flink.push_back(env.add_node(std::move(flink_node)));
 
-    for (const int input : node.inputs) {
+    for (const auto& input : planned.inputs) {
       flink::StreamEdge edge;
-      edge.from = beam_to_flink.at(input);
-      edge.to = flink_id;
-      if (node.key_hash) {
-        edge.mode = flink::PartitionMode::kHash;
-        edge.key_fn = [hash = node.key_hash](const flink::Elem& elem) {
-          return hash(flink::elem_cast<Element>(elem));
-        };
-      } else if (beam_parallelism.at(input) != node_parallelism) {
-        // A parallelism change is a redistribution point: round-robin the
-        // producer's output over the consumer's subtasks.
-        edge.mode = flink::PartitionMode::kRebalance;
-      } else {
-        edge.mode = flink::PartitionMode::kForward;
-        if (elide && edge_elidable(graph.node(input), node)) {
-          runtime::MetricsRegistry::global()
-              .counter("runtime.serde.elided_edges")
-              .add();
-        }
+      edge.from = beam_to_flink.at(static_cast<std::size_t>(input.from));
+      edge.to = beam_to_flink.back();
+      switch (input.exchange) {
+        case Exchange::kKeyed:
+          edge.mode = flink::PartitionMode::kHash;
+          edge.key_fn = [hash = node.key_hash](const flink::Elem& elem) {
+            return hash(flink::elem_cast<Element>(elem));
+          };
+          break;
+        case Exchange::kRebalance:
+          edge.mode = flink::PartitionMode::kRebalance;
+          break;
+        case Exchange::kForward:
+          edge.mode = flink::PartitionMode::kForward;
+          break;
       }
       env.add_edge(std::move(edge));
     }
@@ -218,21 +215,21 @@ Status translate(const BeamGraph& graph, const FlinkRunnerOptions& options,
 }
 
 /// One job execution: a fresh environment and fresh source readers.
-Result<PipelineResult> run_once(const BeamGraph& graph,
+Result<PipelineResult> run_once(const PhysicalPlan& plan,
                                 const FlinkRunnerOptions& options) {
   flink::StreamExecutionEnvironment env;
-  if (Status s = translate(graph, options, env); !s.is_ok()) return s;
-  const std::string plan = env.execution_plan();
+  if (Status s = translate(plan, options, env); !s.is_ok()) return s;
+  const std::string execution_plan = env.execution_plan();
   auto job = env.execute("beam-flink-job");
   if (!job.is_ok()) return job.status();
 
   PipelineResult result;
   result.state = PipelineState::kDone;
   result.duration_ms = job.value().duration_ms;
-  result.execution_plan = plan;
+  result.execution_plan = execution_plan;
   // Translation adds job vertices in Beam-node order, so vertex id i is
   // transform i; counts come from the unified metrics snapshot.
-  const auto& nodes = graph.nodes();
+  const auto& nodes = plan.graph.nodes();
   for (std::size_t i = 0;
        i < nodes.size() && i < job.value().vertex_names.size(); ++i) {
     result.elements_in[nodes[i].name] =
@@ -241,19 +238,17 @@ Result<PipelineResult> run_once(const BeamGraph& graph,
   return result;
 }
 
-/// The graph the runner actually translates: fused when opted in.
-BeamGraph translated_graph(const Pipeline& pipeline,
-                           const FlinkRunnerOptions& options) {
-  if (options.pipeline.fuse_stages && !pipeline.graph().nodes().empty()) {
-    return fuse_graph(pipeline.graph()).graph;
-  }
-  return pipeline.graph();
-}
-
 }  // namespace
 
 Result<PipelineResult> FlinkRunner::run(const Pipeline& pipeline) {
-  const BeamGraph graph = translated_graph(pipeline, options_);
+  const PhysicalPlan plan = make_physical_plan(
+      pipeline.graph(), options_.pipeline, options_.parallelism);
+  // Counted once per run: a restart re-executes the same plan.
+  if (const std::uint64_t elided = elided_edges(plan); elided > 0) {
+    runtime::MetricsRegistry::global()
+        .counter("runtime.serde.elided_edges")
+        .add(elided);
+  }
   // Fixed-delay restart strategy: each attempt rebuilds the translated job
   // from the Beam graph (new environment, new readers) and re-executes it
   // from scratch — how Flink restarts a job that has no checkpoint state.
@@ -264,7 +259,7 @@ Result<PipelineResult> FlinkRunner::run(const Pipeline& pipeline) {
   const Status final_status = runtime::run_supervised(
       policy,
       [&](int /*attempt*/) -> Status {
-        auto attempt_result = run_once(graph, options_);
+        auto attempt_result = run_once(plan, options_);
         if (!attempt_result.is_ok()) return attempt_result.status();
         outcome = std::move(attempt_result);
         return Status::ok();
@@ -281,8 +276,9 @@ Result<PipelineResult> FlinkRunner::run(const Pipeline& pipeline) {
 Result<std::string> FlinkRunner::translate_plan(
     const Pipeline& pipeline) const {
   flink::StreamExecutionEnvironment env;
-  const BeamGraph graph = translated_graph(pipeline, options_);
-  if (Status s = translate(graph, options_, env); !s.is_ok()) return s;
+  const PhysicalPlan plan = make_physical_plan(
+      pipeline.graph(), options_.pipeline, options_.parallelism);
+  if (Status s = translate(plan, options_, env); !s.is_ok()) return s;
   return env.execution_plan();
 }
 

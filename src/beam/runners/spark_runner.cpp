@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "beam/fusion.hpp"
+#include "beam/physical_plan.hpp"
 #include "common/clock.hpp"
 #include "runtime/invoker.hpp"
 #include "spark/streaming_context.hpp"
@@ -215,9 +215,9 @@ Result<PipelineResult> SparkRunner::run(const Pipeline& pipeline) {
   if (pipeline.graph().nodes().empty()) {
     return Status::failed_precondition("empty pipeline");
   }
-  const BeamGraph graph = options_.pipeline.fuse_stages
-                              ? fuse_graph(pipeline.graph()).graph
-                              : pipeline.graph();
+  const PhysicalPlan plan = make_physical_plan(
+      pipeline.graph(), options_.pipeline, options_.parallelism);
+  const BeamGraph& graph = plan.graph;
   if (graph.contains_stateful()) {
     // Beam 2.3's Spark runner capability matrix: no stateful processing.
     return Status::unsupported(
@@ -241,11 +241,7 @@ Result<PipelineResult> SparkRunner::run(const Pipeline& pipeline) {
   for (const auto& node : graph.nodes()) {
     counters.push_back(std::make_shared<std::atomic<std::uint64_t>>(0));
     auto counter = counters.back();
-    // Per-transform parallelism: the node's hint wins over the pipeline
-    // default (Beam's way to express engine-native scaling per transform).
-    const int node_parallelism =
-        node.parallelism_hint > 0 ? node.parallelism_hint
-                                  : options_.parallelism;
+    const int node_parallelism = plan.at(node.id).parallelism;
     if (node.kind == TransformKind::kRead) {
       auto source = std::make_shared<BeamSourceDStreamNode>(
           node.reader, node_parallelism, node.unbounded_source);
@@ -288,7 +284,7 @@ Result<PipelineResult> SparkRunner::run(const Pipeline& pipeline) {
         node.id,
         input.map_partitions<Element>(
             [factory = node.stage, counter, site = "beam." + node.name,
-             pipeline_options = options_.pipeline](
+             pipeline_options = plan.options](
                 spark::IterPtr<Element> in) -> spark::IterPtr<Element> {
               class CountingIter final : public spark::Iterator<Element> {
                public:
@@ -318,7 +314,7 @@ Result<PipelineResult> SparkRunner::run(const Pipeline& pipeline) {
   // Terminal nodes (no consumers) become output operations.
   bool has_output = false;
   for (const auto& node : graph.nodes()) {
-    if (!graph.consumers_of(node.id).empty()) continue;
+    if (!plan.at(node.id).terminal) continue;
     has_output = true;
     translated.at(node.id).foreach_rdd(
         [](spark::SparkContext& sc, const spark::RDDPtr<Element>& rdd) {

@@ -12,6 +12,11 @@
 //  * each transform becomes a mapPartitions stage over boxed elements, one
 //    bundle per partition per batch;
 //  * GroupByKey hash-partitions by key and groups within the micro-batch.
+//
+// Parallelism, fusion and the terminal transforms (which become output
+// operations) come from the beam::PhysicalPlan (beam/physical_plan.hpp).
+// The runner has no static plan rendering and nothing to elide: its
+// pipelined iterators never re-encode in process.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +32,10 @@ struct SparkRunnerOptions {
   /// spark.default.parallelism (§III-A2).
   int parallelism = 1;
   std::int64_t batch_interval_ms = 50;
-  /// Portable pipeline-level knobs. With `fuse_stages`, chains of
-  /// one-to-one ParDos run as one mapPartitions stage per batch instead of
-  /// one per transform. Off by default (paper-faithful translation).
+  /// Portable pipeline-level knobs, resolved by the physical plan. With
+  /// `fuse_stages`, chains of one-to-one ParDos run as one mapPartitions
+  /// stage per batch instead of one per transform. Off by default
+  /// (paper-faithful translation).
   PipelineOptions pipeline{};
   /// Translated to Spark's micro-batch retry: a failed batch re-runs
   /// against the same cached RDD (same input slice), at-least-once.

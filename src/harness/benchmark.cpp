@@ -76,9 +76,9 @@ Result<RunMeasurement> BenchmarkHarness::run_once(const SetupKey& key) {
   ctx.output_topic = output_topic;
   ctx.parallelism = key.parallelism;
   ctx.seed = config_.seed;
-  ctx.fuse_stages = config_.fuse_stages;
-  ctx.async_sinks = config_.async_sinks;
-  ctx.elide_coders = config_.elide_coders;
+  ctx.fuse_stages = config_.pipeline.fuse_stages;
+  ctx.async_sinks = config_.pipeline.async_sinks;
+  ctx.elide_coders = config_.pipeline.elide_coders;
 
   RunMeasurement measurement;
   // Optional seeded noise (Table III's outlier analysis): pause before the

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "beam/options.hpp"
 #include "common/env.hpp"
 #include "common/noise.hpp"
 #include "common/status.hpp"
@@ -73,19 +74,12 @@ struct HarnessConfig {
   /// ratios land in the paper's bands at the default 20k-record scale).
   std::int64_t broker_rtt_us = 25;
   NoiseConfig noise;  // disabled by default
-  /// Beam setups only: run the fusion optimizer (beam/fusion.hpp). Default
-  /// off — figure reproductions measure the paper's unfused plans; the
-  /// fusion sweep bench flips this to quantify the recoverable share.
-  bool fuse_stages = false;
-  /// All setups: asynchronous pipelined sink producers. Default off — the
-  /// paper's writers are synchronous; the async-sinks sweep flips this to
-  /// quantify how much of the sink-path penalty pipelining recovers.
-  bool async_sinks = false;
-  /// Beam setups only: elide fingerprint-matched coder round trips
-  /// (beam::PipelineOptions::elide_coders). Default off — the per-hop
-  /// serialization is part of the measured abstraction cost; the coders
-  /// sweep flips this to quantify the recoverable share.
-  bool elide_coders = false;
+  /// The mitigation flags (fusion, async sinks, coder elision), all off by
+  /// default: figure reproductions measure the paper's unfused plans,
+  /// synchronous writers and per-hop serialization; the ablation sweeps flip
+  /// one at a time to quantify the recoverable share. async_sinks applies to
+  /// native setups too.
+  beam::PipelineOptions pipeline;
   /// Input topic partitions. 1 = the paper's setup (ordered single log);
   /// the scale-out sweep fans the input out so N parallel consumers can
   /// drain N partitions concurrently (STREAMSHIM_INPUT_PARTITIONS).
@@ -108,9 +102,7 @@ struct HarnessConfig {
     config.records = scale.records;
     config.runs = scale.runs;
     config.seed = scale.seed;
-    config.fuse_stages = env_flag("STREAMSHIM_FUSE_STAGES");
-    config.async_sinks = env_flag("STREAMSHIM_ASYNC_SINKS");
-    config.elide_coders = env_flag("STREAMSHIM_CODER_ELISION");
+    config.pipeline = beam::PipelineOptions::from_env();
     config.profile = env_flag("STREAMSHIM_PROFILE");
     config.adaptive = env_flag("STREAMSHIM_ADAPTIVE");
     config.parallelism = static_cast<int>(

@@ -178,13 +178,9 @@ std::string render_partition_gauges(const runtime::MetricsSnapshot& snapshot) {
   std::vector<std::pair<std::string, double>> lag;
   std::vector<std::pair<std::string, double>> depth;
   for (const auto& [name, value] : snapshot.gauges) {
-    // Canonical spelling first; accept the legacy one so snapshots captured
-    // before the rename still render.
     if (name.rfind("kafka.consumer.lag.", 0) == 0) {
       lag.emplace_back(
           name.substr(std::string("kafka.consumer.lag.").size()), value);
-    } else if (name.rfind("kafka.lag.", 0) == 0) {
-      lag.emplace_back(name.substr(std::string("kafka.lag.").size()), value);
     } else if (name.find(".channel.") != std::string::npos &&
                name.size() > 11 &&
                name.compare(name.size() - 11, 11, ".peak_depth") == 0) {

@@ -262,9 +262,7 @@ void Consumer::commit() {
     broker_.commit_offset(config_.group_id, assignment.tp,
                           assignment.position);
     // Per-partition consumer-lag gauge: records appended beyond the offset
-    // just committed. The scaling/elasticity work keys off these. Published
-    // under the canonical engine.component.metric name; snapshot lookups of
-    // the legacy "kafka.lag." spelling resolve through the rename shim.
+    // just committed. The scaling/elasticity work keys off these.
     const auto end = broker_.end_offset(assignment.tp);
     if (end.is_ok()) {
       const double lag =

@@ -68,6 +68,8 @@ void build_pipeline(beam::Pipeline& pipeline, workload::QueryId query,
                              .partition = ctx.parallelism > 1 ? -1 : 0}));
 }
 
+/// The runner for both runs and plan renderings, so a plan dump reflects
+/// every flag the run would see.
 std::unique_ptr<beam::PipelineRunner> make_runner(Engine engine,
                                                   const QueryContext& ctx) {
   // The one portable knob: each runner translates the hint onto its
@@ -77,6 +79,7 @@ std::unique_ptr<beam::PipelineRunner> make_runner(Engine engine,
     restart.max_restarts = std::max(0, ctx.recovery.max_restarts);
     restart.backoff = recovery_backoff(ctx.recovery);
   }
+  // The one conversion of QueryContext's flags into PipelineOptions.
   const beam::PipelineOptions pipeline{.fuse_stages = ctx.fuse_stages,
                                        .async_sinks = ctx.async_sinks,
                                        .elide_coders = ctx.elide_coders};
@@ -114,24 +117,7 @@ Result<std::string> beam_plan(Engine engine, workload::QueryId query,
                               const QueryContext& ctx) {
   beam::Pipeline pipeline;
   build_pipeline(pipeline, query, ctx);
-  switch (engine) {
-    case Engine::kFlink:
-      return beam::FlinkRunner(
-                 beam::FlinkRunnerOptions{
-                     .parallelism = ctx.parallelism,
-                     .pipeline = {.fuse_stages = ctx.fuse_stages}})
-          .translate_plan(pipeline);
-    case Engine::kApex:
-      return beam::ApexRunner(
-                 beam::ApexRunnerOptions{
-                     .parallelism = ctx.parallelism,
-                     .pipeline = {.fuse_stages = ctx.fuse_stages}})
-          .translate_plan(pipeline);
-    case Engine::kSpark:
-      return Status::unsupported(
-          "the Spark runner has no static plan rendering");
-  }
-  return Status::internal("unknown engine");
+  return make_runner(engine, ctx)->translate_plan(pipeline);
 }
 
 }  // namespace dsps::queries

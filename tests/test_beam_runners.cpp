@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include "beam/kafka_io.hpp"
 #include "beam/pipeline.hpp"
@@ -427,6 +431,108 @@ TEST(RunnerEquivalenceTest, AllRunnersAgreeWithDirectReference) {
   for (std::size_t i = 1; i < outputs.size(); ++i) {
     EXPECT_EQ(outputs[i], outputs[0]) << "runner " << i << " diverged";
   }
+}
+
+// --- golden plans: every translation decision, pinned byte for byte ----------
+
+/// Read -> Split -> {Left, Right -> RightTail} -> Flatten -> Key ->
+/// GroupByKey -> Format -> Emit: a two-consumer fan-out, a Flatten, a keyed
+/// exchange, an edge without a producer coder and, in the hinted copy, a
+/// parallelism change (Right/RightTail at 3) around a fusible pair.
+void shapes_pipeline(Pipeline& pipeline) {
+  using Keyed = KV<std::string, std::int64_t>;
+  using Grouped = KV<std::string, std::vector<std::int64_t>>;
+  const auto same = [](const std::string& s) { return s; };
+  Pipeline base;
+  auto split = base.apply(Create<std::string>::of({"a", "b"}, "Read"))
+                   .apply(MapElements<std::string, std::string>::via(
+                       same, "Split"));
+  auto left = split.apply(
+      MapElements<std::string, std::string>::via(same, "Left"));
+  auto right =
+      split
+          .apply(MapElements<std::string, std::string>::via(same, "Right"))
+          .apply(Filter<std::string>::by(
+              [](const std::string&) { return true; }, "RightTail"));
+  flatten<std::string>({left, right})
+      .apply(MapElements<std::string, Keyed>::via(
+          [](const std::string& s) { return Keyed{s, 1}; }, "Key"))
+      .apply(GroupByKey<std::string, std::int64_t>::create())
+      .apply(MapElements<Grouped, std::string>::via(
+          [](const Grouped& g) { return g.key; }, "Format"))
+      .apply(MapElements<std::string, std::string>::via(same, "Emit"));
+  for (TransformNode node : base.graph().nodes()) {
+    if (node.name == "Right" || node.name == "RightTail") {
+      node.parallelism_hint = 3;
+    }
+    pipeline.graph().add_node(std::move(node));
+  }
+}
+
+std::string render_plan(const Result<std::string>& plan) {
+  return plan.is_ok() ? plan.value()
+                      : "error: " + plan.status().to_string() + "\n";
+}
+
+/// Every Flink and Apex plan for {Grep, shapes} x P{1,2} x fuse x elide.
+std::string render_golden_plans() {
+  kafka::Broker broker;
+  load_topic(broker, "in", 1);
+  broker.create_topic("out", kafka::TopicConfig{.partitions = 1}).expect_ok();
+  Pipeline grep;
+  grep.apply(KafkaIO::read(broker, KafkaReadConfig{.topic = "in"}))
+      .apply(KafkaIO::without_metadata())
+      .apply(Values<runtime::Payload>::create<runtime::Payload>())
+      .apply(Filter<runtime::Payload>::by(
+          [](const runtime::Payload& s) {
+            return s.view().find("test") != std::string_view::npos;
+          },
+          "Grep"))
+      .apply(KafkaIO::write(broker, KafkaWriteConfig{.topic = "out"}));
+  Pipeline shapes;
+  shapes_pipeline(shapes);
+
+  std::string out;
+  for (const auto& [graph_name, pipeline] :
+       {std::pair<const char*, const Pipeline*>{"grep", &grep},
+        std::pair<const char*, const Pipeline*>{"shapes", &shapes}}) {
+    for (const int parallelism : {1, 2}) {
+      for (const bool fuse : {false, true}) {
+        for (const bool elide : {false, true}) {
+          const PipelineOptions options{.fuse_stages = fuse,
+                                        .elide_coders = elide};
+          const std::string label =
+              std::string(graph_name) + " P=" + std::to_string(parallelism) +
+              " fuse=" + (fuse ? "1" : "0") + " elide=" + (elide ? "1" : "0");
+          const FlinkRunner flink(FlinkRunnerOptions{
+              .parallelism = parallelism, .pipeline = options});
+          const ApexRunner apex(ApexRunnerOptions{.parallelism = parallelism,
+                                                  .pipeline = options});
+          out += "=== " + label + " Flink ===\n" +
+                 render_plan(flink.translate_plan(*pipeline));
+          out += "=== " + label + " Apex ===\n" +
+                 render_plan(apex.translate_plan(*pipeline));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(GoldenPlanTest, FlinkAndApexPlansMatchTheGoldenFile) {
+  const std::string golden_path =
+      std::string(DSPS_TEST_GOLDEN_DIR) + "/beam_runner_plans.txt";
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in.good()) << "missing " << golden_path;
+  std::stringstream golden;
+  golden << in.rdbuf();
+  const std::string actual = render_golden_plans();
+  if (actual != golden.str()) {
+    // Left next to the test binary for diffing against the golden file.
+    std::ofstream("beam_runner_plans.actual.txt") << actual;
+  }
+  EXPECT_EQ(actual, golden.str())
+      << "plan drift; see beam_runner_plans.actual.txt in the working dir";
 }
 
 }  // namespace

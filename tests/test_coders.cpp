@@ -409,22 +409,28 @@ std::vector<std::string> read_topic(kafka::Broker& broker,
 
 enum class RunnerKind { kDirect, kFlink, kSpark, kApex };
 
-std::unique_ptr<PipelineRunner> make_runner(RunnerKind kind, bool elide) {
+std::unique_ptr<PipelineRunner> make_runner(RunnerKind kind,
+                                            const PipelineOptions& options,
+                                            RestartHint restart = {}) {
   switch (kind) {
     case RunnerKind::kDirect:
       return std::make_unique<DirectRunner>();
     case RunnerKind::kFlink:
       return std::make_unique<FlinkRunner>(FlinkRunnerOptions{
-          .parallelism = 1, .pipeline = {.elide_coders = elide}});
+          .parallelism = 1, .pipeline = options, .restart = restart});
     case RunnerKind::kSpark:
       return std::make_unique<SparkRunner>(SparkRunnerOptions{
-          .parallelism = 1, .batch_interval_ms = 10,
-          .pipeline = {.elide_coders = elide}});
+          .parallelism = 1, .batch_interval_ms = 10, .pipeline = options,
+          .restart = restart});
     case RunnerKind::kApex:
       return std::make_unique<ApexRunner>(ApexRunnerOptions{
-          .parallelism = 1, .pipeline = {.elide_coders = elide}});
+          .parallelism = 1, .restart = restart, .pipeline = options});
   }
   throw std::invalid_argument("unknown runner");
+}
+
+std::unique_ptr<PipelineRunner> make_runner(RunnerKind kind, bool elide) {
+  return make_runner(kind, PipelineOptions{.elide_coders = elide});
 }
 
 /// The four StreamBench query bodies. Sample uses a per-pipeline seeded
@@ -459,18 +465,25 @@ PCollection<Payload> apply_query(const PCollection<Payload>& values,
   throw std::invalid_argument("unknown query");
 }
 
-std::vector<std::string> run_query_with(RunnerKind kind, bool elide,
-                                        workload::QueryId query) {
-  kafka::Broker broker;
-  load_topic(broker, "in", 400);
-  broker.create_topic("out", kafka::TopicConfig{.partitions = 1}).expect_ok();
-  Pipeline pipeline;
+/// KafkaIO.read -> withoutMetadata -> Values -> <query> -> KafkaIO.write:
+/// the StreamBench chain, 7 transforms and 6 edges.
+void build_query_pipeline(Pipeline& pipeline, kafka::Broker& broker,
+                          workload::QueryId query) {
   auto values =
       pipeline.apply(KafkaIO::read(broker, KafkaReadConfig{.topic = "in"}))
           .apply(KafkaIO::without_metadata())
           .apply(Values<Payload>::create<Payload>());
   apply_query(values, query)
       .apply(KafkaIO::write(broker, KafkaWriteConfig{.topic = "out"}));
+}
+
+std::vector<std::string> run_query_with(RunnerKind kind, bool elide,
+                                        workload::QueryId query) {
+  kafka::Broker broker;
+  load_topic(broker, "in", 400);
+  broker.create_topic("out", kafka::TopicConfig{.partitions = 1}).expect_ok();
+  Pipeline pipeline;
+  build_query_pipeline(pipeline, broker, query);
   auto runner = make_runner(kind, elide);
   auto result = pipeline.run(*runner);
   EXPECT_TRUE(result.is_ok()) << result.status().to_string();
@@ -521,6 +534,68 @@ TEST(ElisionAccountingTest, ArmedRunnersCountElidedEdgesAndDisarmedDont) {
     EXPECT_GT(elided_edges_counter(), before_elided)
         << "armed run elided no edges — the fast path never engaged";
   }
+}
+
+TEST(ElisionAccountingTest, PlanOnlyTranslationLeavesTheRunCounterAlone) {
+  kafka::Broker broker;
+  load_topic(broker, "in", 1);
+  broker.create_topic("out", kafka::TopicConfig{.partitions = 1}).expect_ok();
+  Pipeline pipeline;
+  build_query_pipeline(pipeline, broker, workload::QueryId::kIdentity);
+  const PipelineOptions elide{.elide_coders = true};
+  const std::uint64_t before = elided_edges_counter();
+  ASSERT_TRUE(FlinkRunner(FlinkRunnerOptions{.pipeline = elide})
+                  .translate_plan(pipeline)
+                  .is_ok());
+  ASSERT_TRUE(ApexRunner(ApexRunnerOptions{.pipeline = elide})
+                  .translate_plan(pipeline)
+                  .is_ok());
+  EXPECT_EQ(elided_edges_counter(), before)
+      << "rendering a plan is not a run";
+}
+
+/// runtime.serde.elided_edges added by one run of the Identity chain.
+std::uint64_t elided_edges_of_run(RunnerKind kind,
+                                  const PipelineOptions& options,
+                                  RestartHint restart = {}) {
+  kafka::Broker broker;
+  load_topic(broker, "in", 200);
+  broker.create_topic("out", kafka::TopicConfig{.partitions = 1}).expect_ok();
+  Pipeline pipeline;
+  build_query_pipeline(pipeline, broker, workload::QueryId::kIdentity);
+  const std::uint64_t before = elided_edges_counter();
+  auto runner = make_runner(kind, options, restart);
+  const auto result = pipeline.run(*runner);
+  EXPECT_TRUE(result.is_ok()) << result.status().to_string();
+  return elided_edges_counter() - before;
+}
+
+TEST(ElisionAccountingTest, EachRunCountsItsElidedEdgesOnce) {
+  const PipelineOptions elide{.elide_coders = true};
+  const PipelineOptions fuse_elide{.fuse_stages = true, .elide_coders = true};
+  // Flink: all 6 forward edges elide; a fused plan chains by fusion and
+  // counts none. Apex: 6 edges elide unfused, the 2 edges around the fused
+  // chain when fused.
+  EXPECT_EQ(elided_edges_of_run(RunnerKind::kFlink, elide), 6u);
+  EXPECT_EQ(elided_edges_of_run(RunnerKind::kFlink, fuse_elide), 0u);
+  EXPECT_EQ(elided_edges_of_run(RunnerKind::kApex, elide), 6u);
+  EXPECT_EQ(elided_edges_of_run(RunnerKind::kApex, fuse_elide), 2u);
+  EXPECT_EQ(elided_edges_of_run(RunnerKind::kSpark, elide), 0u);
+
+  // A restarted Flink job is still one run of one plan.
+  using runtime::FaultInjector;
+  auto& injector = FaultInjector::instance();
+  injector.arm(3, {runtime::FaultRule{
+                      .point = runtime::FaultPoint::kOperatorThrow,
+                      .site = "beam.source",
+                      .after_hits = 2,
+                      .times = 1}});
+  const std::uint64_t restarted = elided_edges_of_run(
+      RunnerKind::kFlink, elide, RestartHint{.max_restarts = 2});
+  const std::uint64_t injected = injector.injected_count();
+  injector.disarm();
+  EXPECT_GT(injected, 0u) << "the fault schedule never struck";
+  EXPECT_EQ(restarted, 6u);
 }
 
 // --- production path (queries::run_beam + ctx.elide_coders) ------------------

@@ -189,6 +189,21 @@ TEST(QueryPlanTest, BeamFlinkGrepPlanHasSevenUnfusedElements) {
   EXPECT_EQ(vertices + 1, 7);
 }
 
+TEST(QueryPlanTest, BeamFlinkGrepPlanHonoursCoderElision) {
+  // The plan dump goes through the same runner the run does: with elision
+  // on, every edge of the Grep chain is fingerprint-matched, so the whole
+  // pipeline chains into the source vertex.
+  kafka::Broker broker;
+  workload::create_benchmark_topic(broker, "in").expect_ok();
+  workload::create_benchmark_topic(broker, "out").expect_ok();
+  QueryContext ctx{&broker, "in", "out", 1, kSeed};
+  ctx.elide_coders = true;
+  auto plan = execution_plan(Engine::kFlink, Sdk::kBeam, QueryId::kGrep, ctx);
+  ASSERT_TRUE(plan.is_ok());
+  EXPECT_TRUE(plan.value().starts_with("[0] Data Source\n")) << plan.value();
+  EXPECT_EQ(plan.value().find("\n["), std::string::npos) << plan.value();
+}
+
 TEST(QueryPlanTest, NativeApexPlanIsSingleContainerAtP1) {
   kafka::Broker broker;
   workload::create_benchmark_topic(broker, "in").expect_ok();
