@@ -301,11 +301,12 @@ std::vector<AsyncRow> run_async_sweep(const harness::HarnessConfig& base) {
   }
 
   // Two harnesses over identically seeded input: the only difference is
-  // HarnessConfig.pipeline.async_sinks (-> QueryContext.async_sinks -> every sink).
+  // HarnessConfig.async_sinks (-> QueryContext.async_sinks -> each sink's
+  // config where the query builds it).
   harness::HarnessConfig sync_config = base;
-  sync_config.pipeline.async_sinks = false;
+  sync_config.async_sinks = false;
   harness::HarnessConfig async_config = base;
-  async_config.pipeline.async_sinks = true;
+  async_config.async_sinks = true;
 
   std::fprintf(stderr, "async sweep: sync sinks (paper baseline)\n");
   harness::BenchmarkHarness sync_harness(sync_config);

@@ -84,10 +84,12 @@ struct KafkaWriteConfig {
   kafka::Acks acks = kafka::Acks::kLeader;
   /// Producer-side buffering; flushes also happen at bundle boundaries.
   std::size_t batch_size = 500;
-  /// Force the async pipelined producer for this write regardless of
-  /// PipelineOptions (the options flag is the normal way in:
-  /// PipelineOptions{.async_sinks} reaches the writer through the runner's
-  /// StageExecutor::configure hook).
+  /// Asynchronous pipelined sink: the writer hands batches to a background
+  /// sender instead of flushing synchronously per bundle. OFF by default:
+  /// the paper's writers produce synchronously, and Figs. 11–13 must keep
+  /// reproducing that; turning it on quantifies how much of the sink-path
+  /// penalty pipelining recovers. The query layer sets it where it builds
+  /// the sink, as it does for the native sinks.
   bool async = false;
 };
 

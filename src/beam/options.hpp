@@ -1,5 +1,8 @@
 // PipelineOptions: portable knobs a Beam program hands to whichever runner
 // executes it (mirroring Beam's PipelineOptions / --experiments flags).
+// Its two flags shape the plan and only make_physical_plan reads them
+// (beam/physical_plan.hpp). A sink's behaviour is not an option: async
+// Kafka writes are set on the sink itself (KafkaWriteConfig::async).
 //
 // `fuse_stages` opts into the graph-fusion optimizer (beam/fusion.hpp). It
 // is OFF by default on purpose: the unfused translation is what the paper
@@ -19,14 +22,6 @@ struct PipelineOptions {
   /// Run the fusion pass before translation (--fuse-stages).
   bool fuse_stages = false;
 
-  /// Asynchronous pipelined sinks (--async-sinks): KafkaIO writers hand
-  /// batches to a background sender instead of flushing synchronously per
-  /// bundle. OFF by default for the same reason as fusion: the paper's
-  /// writers produce synchronously, and Fig. 11–13 must keep reproducing
-  /// that behaviour; turning it on quantifies how much of the sink-path
-  /// penalty pipelining recovers.
-  bool async_sinks = false;
-
   /// Coder elision (--elide-coders): when an in-process edge's producer
   /// output-coder fingerprint equals its consumer input-coder fingerprint,
   /// the encode→decode round trip on that edge is the identity and the
@@ -37,14 +32,12 @@ struct PipelineOptions {
   /// much of that cost a fingerprint-aware runner recovers.
   bool elide_coders = false;
 
-  /// The one parser of the env overrides (harness::HarnessConfig reads its
-  /// flags through here): STREAMSHIM_FUSE_STAGES=1 turns fusion on,
-  /// STREAMSHIM_ASYNC_SINKS=1 turns async sinks on,
+  /// The one parser of the plan flags' env overrides (harness::HarnessConfig
+  /// reads them through here): STREAMSHIM_FUSE_STAGES=1 turns fusion on,
   /// STREAMSHIM_CODER_ELISION=1 turns coder elision on.
   static PipelineOptions from_env() {
     return PipelineOptions{
         .fuse_stages = env_flag("STREAMSHIM_FUSE_STAGES"),
-        .async_sinks = env_flag("STREAMSHIM_ASYNC_SINKS"),
         .elide_coders = env_flag("STREAMSHIM_CODER_ELISION")};
   }
 };

@@ -9,7 +9,6 @@ PhysicalPlan make_physical_plan(const BeamGraph& graph,
                                 int default_parallelism) {
   PhysicalPlan plan{
       .graph = options.fuse_stages ? fuse_graph(graph) : graph,
-      .options = options,
       .fused = options.fuse_stages};
   const auto& nodes = plan.graph.nodes();
   const auto consumers = consumer_lists(plan.graph);

@@ -50,8 +50,6 @@ struct PlanNode {
 struct PhysicalPlan {
   /// The graph runners translate: fused when the fusion pass ran.
   BeamGraph graph;
-  /// Forwarded to every stage executor (StageExecutor::configure).
-  PipelineOptions options;
   /// The fusion pass ran (PipelineOptions::fuse_stages).
   bool fused = false;
   /// Indexed by node id in `graph`.

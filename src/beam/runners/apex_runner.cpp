@@ -69,10 +69,8 @@ class BeamApexInput final : public apex::InputOperator {
 /// Stage operator with single-element bundles.
 class BeamApexStage final : public apex::Operator {
  public:
-  BeamApexStage(StageFactory factory, PipelineOptions pipeline_options,
-                const std::string& site)
-      : factory_(std::move(factory)), pipeline_options_(pipeline_options),
-        invoker_(site),
+  BeamApexStage(StageFactory factory, const std::string& site)
+      : factory_(std::move(factory)), invoker_(site),
         in_(register_input([this](const apex::Tuple& tuple) {
           on_tuple(tuple);
         })),
@@ -80,9 +78,6 @@ class BeamApexStage final : public apex::Operator {
 
   void setup(const apex::OperatorContext& /*context*/) override {
     executor_ = factory_();
-    // Translate pipeline-level flags (async_sinks, ...) before user code
-    // initializes in start().
-    executor_->configure(pipeline_options_);
     executor_->start();
   }
 
@@ -108,7 +103,6 @@ class BeamApexStage final : public apex::Operator {
   }
 
   StageFactory factory_;
-  PipelineOptions pipeline_options_;
   runtime::OperatorInvoker invoker_;
   int in_;
   int out_;
@@ -144,10 +138,8 @@ Status translate(const PhysicalPlan& plan, apex::Dag& dag) {
     } else {
       apex_id = dag.add_operator(node.name,
                                  [factory = node.stage,
-                                  pipeline_options = plan.options,
                                   site = "beam." + node.name] {
-        return std::make_unique<BeamApexStage>(factory, pipeline_options,
-                                               site);
+        return std::make_unique<BeamApexStage>(factory, site);
       });
       const bool partitionable = node.kind == TransformKind::kParDo &&
                                  !node.key_hash && !node.stateful &&

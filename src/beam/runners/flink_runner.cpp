@@ -51,15 +51,12 @@ class BeamSourceFunction final : public flink::SourceFunction {
 class BeamStageOperator final : public flink::StreamOperator {
  public:
   BeamStageOperator(StageFactory factory, std::size_t bundle_size,
-                    PipelineOptions pipeline_options, bool recycle_boxes)
+                    bool recycle_boxes)
       : factory_(std::move(factory)), bundle_size_(bundle_size),
-        pipeline_options_(pipeline_options), recycle_boxes_(recycle_boxes) {}
+        recycle_boxes_(recycle_boxes) {}
 
   void open(const flink::RuntimeContext& /*context*/) override {
     executor_ = factory_();
-    // Translate pipeline-level flags (async_sinks, ...) before user code
-    // initializes in start().
-    executor_->configure(pipeline_options_);
     executor_->start();
     emit_ = [this](Element&& produced) {
       if (!free_boxes_.empty()) {
@@ -102,7 +99,6 @@ class BeamStageOperator final : public flink::StreamOperator {
 
   StageFactory factory_;
   std::size_t bundle_size_;
-  PipelineOptions pipeline_options_;
   std::unique_ptr<StageExecutor> executor_;
   std::size_t since_bundle_ = 0;
   bool recycle_boxes_;
@@ -182,10 +178,8 @@ Status translate(const PhysicalPlan& plan, const FlinkRunnerOptions& options,
       flink_node.kind = flink::NodeKind::kOperator;
       flink_node.make_operator = [factory = node.stage,
                                   bundle = options.bundle_size,
-                                  pipeline_options = plan.options,
                                   recycle = any_elided] {
-        return std::make_unique<BeamStageOperator>(factory, bundle,
-                                                   pipeline_options, recycle);
+        return std::make_unique<BeamStageOperator>(factory, bundle, recycle);
       };
     }
     beam_to_flink.push_back(env.add_node(std::move(flink_node)));

@@ -77,7 +77,7 @@ Result<RunMeasurement> BenchmarkHarness::run_once(const SetupKey& key) {
   ctx.parallelism = key.parallelism;
   ctx.seed = config_.seed;
   ctx.fuse_stages = config_.pipeline.fuse_stages;
-  ctx.async_sinks = config_.pipeline.async_sinks;
+  ctx.async_sinks = config_.async_sinks;
   ctx.elide_coders = config_.pipeline.elide_coders;
 
   RunMeasurement measurement;

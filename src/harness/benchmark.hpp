@@ -74,12 +74,15 @@ struct HarnessConfig {
   /// ratios land in the paper's bands at the default 20k-record scale).
   std::int64_t broker_rtt_us = 25;
   NoiseConfig noise;  // disabled by default
-  /// The mitigation flags (fusion, async sinks, coder elision), all off by
+  /// The mitigation flags (fusion, coder elision, async sinks), all off by
   /// default: figure reproductions measure the paper's unfused plans,
-  /// synchronous writers and per-hop serialization; the ablation sweeps flip
-  /// one at a time to quantify the recoverable share. async_sinks applies to
-  /// native setups too.
+  /// per-hop serialization and synchronous writers; the ablation sweeps flip
+  /// one at a time to quantify the recoverable share. `pipeline` holds the
+  /// two Beam plan flags (STREAMSHIM_FUSE_STAGES, STREAMSHIM_CODER_ELISION).
   beam::PipelineOptions pipeline;
+  /// Async pipelined Kafka sinks on every setup, native and Beam alike
+  /// (STREAMSHIM_ASYNC_SINKS): a sink setting, not a Beam option.
+  bool async_sinks = false;
   /// Input topic partitions. 1 = the paper's setup (ordered single log);
   /// the scale-out sweep fans the input out so N parallel consumers can
   /// drain N partitions concurrently (STREAMSHIM_INPUT_PARTITIONS).
@@ -103,6 +106,7 @@ struct HarnessConfig {
     config.runs = scale.runs;
     config.seed = scale.seed;
     config.pipeline = beam::PipelineOptions::from_env();
+    config.async_sinks = env_flag("STREAMSHIM_ASYNC_SINKS");
     config.profile = env_flag("STREAMSHIM_PROFILE");
     config.adaptive = env_flag("STREAMSHIM_ADAPTIVE");
     config.parallelism = static_cast<int>(

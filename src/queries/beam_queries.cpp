@@ -62,10 +62,12 @@ void build_pipeline(beam::Pipeline& pipeline, workload::QueryId query,
   auto output = apply_query_logic(values, query, ctx);
   // Scale-out: parallel writer instances spread keyless output round-robin
   // over the output topic's partitions instead of contending on one log.
+  // The sink mode is set here, at the sink, as on the native paths.
   output.apply(beam::KafkaIO::write(
       *ctx.broker,
       beam::KafkaWriteConfig{.topic = ctx.output_topic,
-                             .partition = ctx.parallelism > 1 ? -1 : 0}));
+                             .partition = ctx.parallelism > 1 ? -1 : 0,
+                             .async = ctx.async_sinks}));
 }
 
 /// The runner for both runs and plan renderings, so a plan dump reflects
@@ -79,9 +81,8 @@ std::unique_ptr<beam::PipelineRunner> make_runner(Engine engine,
     restart.max_restarts = std::max(0, ctx.recovery.max_restarts);
     restart.backoff = recovery_backoff(ctx.recovery);
   }
-  // The one conversion of QueryContext's flags into PipelineOptions.
+  // The one conversion of QueryContext's plan flags into PipelineOptions.
   const beam::PipelineOptions pipeline{.fuse_stages = ctx.fuse_stages,
-                                       .async_sinks = ctx.async_sinks,
                                        .elide_coders = ctx.elide_coders};
   switch (engine) {
     case Engine::kFlink:

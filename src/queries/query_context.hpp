@@ -71,10 +71,11 @@ struct QueryContext {
   /// run reproduces the paper's unfused plans and slowdown factors; the
   /// native paths ignore it.
   bool fuse_stages = false;
-  /// Asynchronous pipelined sinks: the Beam path translates it to
-  /// beam::PipelineOptions::async_sinks; the native paths switch their
-  /// Kafka sink producers to the background-sender mode. Off by default so
-  /// every default run keeps the paper's synchronous writers.
+  /// Asynchronous pipelined sinks: every path sets its Kafka sink's config
+  /// from it where the sink is built (beam::KafkaWriteConfig::async on the
+  /// Beam path, the native sinks' async flag on the others), switching the
+  /// producers to the background-sender mode. Off by default so every
+  /// default run keeps the paper's synchronous writers.
   bool async_sinks = false;
   /// Coder elision: the Beam path translates it to
   /// beam::PipelineOptions::elide_coders — fingerprint-matched in-process

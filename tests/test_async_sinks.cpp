@@ -1,9 +1,11 @@
 // Async pipelined sink path tests: the async producer's ordering, ack,
 // backpressure and drain contracts; its retry interplay with seeded chaos;
-// the Apex sink's non-throwing teardown (close_status surfacing); and the
+// the Apex sink's non-throwing teardown (close_status surfacing); the
 // end-to-end differentials — async output must be multiset-identical to
 // sync output for every query on every runner, fused and unfused, with and
-// without recovery.
+// without recovery; and the engagement check that QueryContext::async_sinks
+// really switches every engine's sink, native and Beam, to the async
+// producer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +26,7 @@
 #include "kafka/producer.hpp"
 #include "queries/query_factory.hpp"
 #include "runtime/fault.hpp"
+#include "runtime/metrics.hpp"
 #include "workload/streambench.hpp"
 
 namespace dsps {
@@ -331,8 +334,11 @@ beam::PCollection<Payload> apply_query(
   throw std::invalid_argument("unknown query");
 }
 
+/// Runs `query` on `kind` with the writer's async mode set on its
+/// KafkaWriteConfig — the sink's own setting, as the query layer sets it.
 std::vector<std::string> run_query_with(RunnerKind kind,
                                         const beam::PipelineOptions& options,
+                                        bool async_writer,
                                         workload::QueryId query) {
   Broker broker;
   load_topic(broker, "in", 400);
@@ -345,8 +351,9 @@ std::vector<std::string> run_query_with(RunnerKind kind,
           .apply(beam::KafkaIO::without_metadata())
           .apply(beam::Values<Payload>::create<Payload>());
   apply_query(values, query)
-      .apply(
-          beam::KafkaIO::write(broker, beam::KafkaWriteConfig{.topic = "out"}));
+      .apply(beam::KafkaIO::write(
+          broker,
+          beam::KafkaWriteConfig{.topic = "out", .async = async_writer}));
   auto runner = make_runner(kind, options);
   auto result = pipeline.run(*runner);
   EXPECT_TRUE(result.is_ok()) << result.status().to_string();
@@ -358,16 +365,17 @@ class AsyncDifferentialTest
 
 TEST_P(AsyncDifferentialTest, FusedAsyncMatchesDirectOnEveryRunner) {
   const workload::QueryId query = GetParam();
-  const auto reference =
-      run_query_with(RunnerKind::kDirect, beam::PipelineOptions{}, query);
+  const auto reference = run_query_with(
+      RunnerKind::kDirect, beam::PipelineOptions{}, /*async_writer=*/false,
+      query);
   ASSERT_FALSE(reference.empty() && query != workload::QueryId::kGrep);
   for (const RunnerKind kind :
        {RunnerKind::kFlink, RunnerKind::kSpark, RunnerKind::kApex}) {
-    const auto async_only = run_query_with(
-        kind, beam::PipelineOptions{.async_sinks = true}, query);
-    const auto fused_async = run_query_with(
-        kind, beam::PipelineOptions{.fuse_stages = true, .async_sinks = true},
-        query);
+    const auto async_only = run_query_with(kind, beam::PipelineOptions{},
+                                           /*async_writer=*/true, query);
+    const auto fused_async =
+        run_query_with(kind, beam::PipelineOptions{.fuse_stages = true},
+                       /*async_writer=*/true, query);
     EXPECT_EQ(async_only, reference) << "async diverged from DirectRunner";
     EXPECT_EQ(fused_async, reference)
         << "fused+async diverged from DirectRunner";
@@ -413,6 +421,50 @@ TEST(AsyncProductionPathTest, AsyncSinksFlagPreservesQueryOutput) {
             << queries::engine_name(engine) << "/" << queries::sdk_name(sdk)
             << "/" << workload::query_info(query).name
             << ": async output diverged from sync";
+      }
+    }
+  }
+}
+
+/// Samples recorded so far by async producers' sender threads
+/// (Producer::dispatch_run); a sync producer never records one.
+std::uint64_t async_queue_wait_samples() {
+  const auto snapshot = runtime::MetricsRegistry::global().snapshot();
+  const auto it = snapshot.histograms.find("kafka.producer.queue_wait_us");
+  return it == snapshot.histograms.end() ? 0 : it->second.count;
+}
+
+TEST(AsyncProductionPathTest, AsyncSinksFlagEngagesEverySink) {
+  // Output equality alone also holds when the flag is silently dropped on
+  // the way to a sink, so this checks the producer mode itself: with the
+  // flag off no async batch is dispatched; with it on the sink dispatches
+  // through the background sender.
+  for (const auto engine :
+       {queries::Engine::kFlink, queries::Engine::kSpark,
+        queries::Engine::kApex}) {
+    for (const auto sdk : {queries::Sdk::kNative, queries::Sdk::kBeam}) {
+      for (const bool async : {false, true}) {
+        SCOPED_TRACE(std::string(queries::engine_name(engine)) + "/" +
+                     queries::sdk_name(sdk) + (async ? "/async" : "/sync"));
+        Broker broker;
+        load_topic(broker, "in", 300);
+        broker.create_topic("out", kafka::TopicConfig{.partitions = 1})
+            .expect_ok();
+        queries::QueryContext ctx;
+        ctx.broker = &broker;
+        ctx.input_topic = "in";
+        ctx.output_topic = "out";
+        ctx.async_sinks = async;
+        const std::uint64_t before = async_queue_wait_samples();
+        const Status status = queries::run_query(
+            engine, sdk, workload::QueryId::kIdentity, ctx);
+        ASSERT_TRUE(status.is_ok()) << status.to_string();
+        const std::uint64_t after = async_queue_wait_samples();
+        if (async) {
+          EXPECT_GT(after, before) << "the sink never went async";
+        } else {
+          EXPECT_EQ(after, before) << "a sync run dispatched async batches";
+        }
       }
     }
   }
