@@ -9,6 +9,17 @@
 // not accidental allocator traffic: hot payload types live inline in a
 // variant instead of a heap-boxed std::any, and the window set stores the
 // ubiquitous single-window case without allocating.
+//
+// The inline types are the ones every translated query moves per record:
+//   * KafkaRecord and ProducerRecordStub — the elements of KafkaIO.read and
+//     of KafkaIO.write's ToProducerRecord step, present in every Beam query;
+//   * runtime::Payload and KV<Payload, Payload> — the zero-copy record
+//     value and WithoutMetadata's output;
+//   * std::string and KV<string, string> — lines synthesized by user code;
+//   * std::int64_t and double — counts, sums and the writer's terminal
+//     output.
+// The largest of them (KafkaRecord) sets sizeof(Value); any other type
+// falls back to a heap-boxed std::any.
 #pragma once
 
 #include <algorithm>
@@ -64,10 +75,36 @@ concept KvElement = requires {
   typename T::value_t;
 };
 
+/// A consumed record with its metadata (KafkaIO.read()'s element type).
+/// Key and value are refcounted payload slices of the broker's storage —
+/// the envelope and coder hops stay (the measured abstraction cost), but
+/// the record bytes themselves are not copied until a coder materializes
+/// them at a serialized boundary.
+struct KafkaRecord {
+  std::string topic;
+  int partition = 0;
+  std::int64_t offset = 0;
+  Timestamp timestamp = 0;
+  runtime::Payload key;
+  runtime::Payload value;
+
+  friend bool operator==(const KafkaRecord&, const KafkaRecord&) = default;
+};
+
+/// What KafkaIO.write's ToProducerRecord emits and KafkaWriter consumes.
+struct ProducerRecordStub {
+  runtime::Payload key;
+  runtime::Payload value;
+
+  friend bool operator==(const ProducerRecordStub&,
+                         const ProducerRecordStub&) = default;
+};
+
 /// Type-erased element payload. The payload types the translated queries
-/// move in bulk — refcounted Payload slices, strings, KV pairs, and the
-/// numeric scalars — are stored inline in a variant; any other type falls
-/// back to std::any, paying the heap boxing every payload used to pay.
+/// move in bulk — the KafkaIO records, refcounted Payload slices, strings,
+/// KV pairs, and the numeric scalars — are stored inline in a variant; any
+/// other type falls back to std::any, paying the heap boxing every payload
+/// used to pay.
 class Value {
  public:
   Value() = default;
@@ -120,6 +157,8 @@ class Value {
       std::is_same_v<T, KV<std::string, std::string>> ||
       std::is_same_v<T, runtime::Payload> ||
       std::is_same_v<T, KV<runtime::Payload, runtime::Payload>> ||
+      std::is_same_v<T, KafkaRecord> ||
+      std::is_same_v<T, ProducerRecordStub> ||
       std::is_same_v<T, std::int64_t> || std::is_same_v<T, double>;
 
   template <typename T>
@@ -134,7 +173,8 @@ class Value {
 
   std::variant<std::monostate, std::string, KV<std::string, std::string>,
                runtime::Payload, KV<runtime::Payload, runtime::Payload>,
-               std::int64_t, double, std::any>
+               KafkaRecord, ProducerRecordStub, std::int64_t, double,
+               std::any>
       storage_;
 };
 

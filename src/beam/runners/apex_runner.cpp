@@ -74,7 +74,10 @@ class BeamApexStage final : public apex::Operator {
         in_(register_input([this](const apex::Tuple& tuple) {
           on_tuple(tuple);
         })),
-        out_(register_output()) {}
+        out_(register_output()),
+        emit_([this](Element&& produced) {
+          emit(out_, apex::make_tuple_of<Element>(std::move(produced)));
+        }) {}
 
   void setup(const apex::OperatorContext& /*context*/) override {
     executor_ = factory_();
@@ -83,29 +86,23 @@ class BeamApexStage final : public apex::Operator {
 
   void end_stream() override {
     if (executor_) {
-      invoker_.invoke_unfaulted([&] { executor_->finish(emit_fn()); });
+      invoker_.invoke_unfaulted([&] { executor_->finish(emit_); });
     }
   }
 
  private:
-  Emit emit_fn() {
-    return [this](Element&& produced) {
-      emit(out_, apex::make_tuple_of<Element>(std::move(produced)));
-    };
-  }
-
   void on_tuple(const apex::Tuple& tuple) {
-    const Emit emit = emit_fn();
     invoker_.invoke_unfaulted(
-        [&] { executor_->process(apex::tuple_cast<Element>(tuple), emit); });
+        [&] { executor_->process(apex::tuple_cast<Element>(tuple), emit_); });
     // One-element bundles: buffering DoFns (the Kafka writer) flush here.
-    executor_->bundle_boundary(emit);
+    executor_->bundle_boundary(emit_);
   }
 
   StageFactory factory_;
   runtime::OperatorInvoker invoker_;
   int in_;
   int out_;
+  const Emit emit_;  // built once: emits on out_
   std::unique_ptr<StageExecutor> executor_;
 };
 

@@ -164,27 +164,28 @@ class StageIterator final : public spark::Iterator<Element> {
       : executor_(factory()),
         invoker_(site),
         in_(std::move(in)),
-        bundle_size_(bundle_size) {
+        bundle_size_(bundle_size),
+        emit_([this](Element&& produced) {
+          buffer_.push_back(std::move(produced));
+        }) {
     executor_->start();
   }
 
   std::optional<Element> next() override {
-    const Emit emit = [this](Element&& produced) {
-      buffer_.push_back(std::move(produced));
-    };
     while (buffer_index_ >= buffer_.size()) {
       buffer_.clear();
       buffer_index_ = 0;
       if (auto element = in_->next()) {
-        invoker_.invoke_unfaulted([&] { executor_->process(*element, emit); });
+        invoker_.invoke_unfaulted(
+            [&] { executor_->process(*element, emit_); });
         if (++since_bundle_ >= bundle_size_) {
           since_bundle_ = 0;
-          executor_->bundle_boundary(emit);
+          executor_->bundle_boundary(emit_);
         }
         continue;
       }
       if (!finished_) {
-        invoker_.invoke_unfaulted([&] { executor_->finish(emit); });
+        invoker_.invoke_unfaulted([&] { executor_->finish(emit_); });
         finished_ = true;
         continue;
       }
@@ -198,6 +199,7 @@ class StageIterator final : public spark::Iterator<Element> {
   runtime::OperatorInvoker invoker_;
   spark::IterPtr<Element> in_;
   std::size_t bundle_size_;
+  const Emit emit_;  // built once: appends to buffer_
   std::vector<Element> buffer_;
   std::size_t buffer_index_ = 0;
   std::size_t since_bundle_ = 0;

@@ -33,7 +33,7 @@ LoadGenerator::LoadGenerator(kafka::Broker& broker, LoadGenConfig config)
   pool_.reserve(config_.pool_size);
   payload_pool_.reserve(config_.pool_size);
   for (std::uint64_t i = 0; i < config_.pool_size; ++i) {
-    pool_.push_back(generator.record_at(i).to_line());
+    pool_.push_back(generator.line_at(i));
     payload_pool_.emplace_back(pool_.back());  // one copy; reused per cycle
   }
 }

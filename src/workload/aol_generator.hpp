@@ -47,6 +47,9 @@ class AolGenerator {
   /// config: any index can be generated independently and deterministically.
   AolRecord record_at(std::uint64_t index) const;
 
+  /// record_at(index).to_line(), built in place without the AolRecord.
+  std::string line_at(std::uint64_t index) const;
+
   /// Generates records [0, config.record_count) as lines.
   std::vector<std::string> all_lines() const;
 

@@ -20,7 +20,7 @@ Result<IngestReport> DataSender::send_generated(
     const AolGenerator& generator) {
   return send_impl(generator.config().record_count,
                    [&generator](std::uint64_t i) {
-                     return generator.record_at(i).to_line();
+                     return generator.line_at(i);
                    });
 }
 

@@ -47,15 +47,20 @@ NexmarkGenerator::NexmarkGenerator(NexmarkConfig config)
 
 Bid NexmarkGenerator::bid_at(std::uint64_t index) const {
   Xoshiro256 rng(config_.seed ^ (index * 0x2545F4914F6CDD1DULL + 11));
+  // Named draws pin the draw order; the operands of one arithmetic
+  // expression would be evaluated in an order the compiler picks.
+  const auto auction = static_cast<std::int64_t>(
+      rng.next_below(static_cast<std::uint64_t>(config_.auctions)));
+  const auto bidder = static_cast<std::int64_t>(
+      rng.next_below(static_cast<std::uint64_t>(config_.bidders)));
+  // Hot-item skew: a quadratic ramp makes some prices much larger.
+  const auto base = static_cast<std::int64_t>(rng.next_below(10'000));
+  const auto ramp_a = static_cast<std::int64_t>(rng.next_below(100));
+  const auto ramp_b = static_cast<std::int64_t>(rng.next_below(100));
   return Bid{
-      .auction = static_cast<std::int64_t>(
-          rng.next_below(static_cast<std::uint64_t>(config_.auctions))),
-      .bidder = static_cast<std::int64_t>(
-          rng.next_below(static_cast<std::uint64_t>(config_.bidders))),
-      // Hot-item skew: a quadratic ramp makes some prices much larger.
-      .price = 100 + static_cast<std::int64_t>(rng.next_below(10'000)) +
-               static_cast<std::int64_t>(rng.next_below(100)) *
-                   static_cast<std::int64_t>(rng.next_below(100)),
+      .auction = auction,
+      .bidder = bidder,
+      .price = 100 + base + ramp_a * ramp_b,
       .date_time =
           static_cast<std::int64_t>(index) * config_.inter_event_us,
   };

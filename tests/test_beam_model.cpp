@@ -4,12 +4,32 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <map>
 #include <mutex>
+#include <new>
 
 #include "beam/kafka_io.hpp"
 #include "beam/pipeline.hpp"
 #include "beam/runners/direct_runner.hpp"
+
+// Global allocation counter: every operator new in this binary goes through
+// here, so a test can assert that a code path allocates nothing.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// Out of line, so the compiler never pairs an inlined new with free().
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace dsps::beam {
 namespace {
@@ -98,6 +118,27 @@ TEST(CoderTest, KafkaRecordCoderRoundTrip) {
   EXPECT_EQ(coder_round_trip<KafkaRecord>(coder, record), record);
 }
 
+TEST(CoderTest, KafkaRecordDecodeAliasesTheWireBuffer) {
+  const auto coder = CoderTraits<KafkaRecord>::of();
+  const KafkaRecord record{.topic = "aol-queries",
+                           .partition = 1,
+                           .offset = 5,
+                           .timestamp = 7,
+                           .key = "the key",
+                           .value = "the value bytes"};
+  Bytes bytes;
+  BinaryWriter writer(bytes);
+  coder->encode(Value{record}, writer);
+  const runtime::Payload wire(
+      std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+  BinaryReader reader = runtime::payload_reader(wire);
+  const Value decoded = coder->decode(reader);
+  const auto& restored = decoded.get<KafkaRecord>();
+  EXPECT_EQ(restored, record);
+  EXPECT_TRUE(restored.key.shares_storage_with(wire));
+  EXPECT_TRUE(restored.value.shares_storage_with(wire));
+}
+
 TEST(CoderTest, WindowedValueCoderPreservesMetadata) {
   const WindowedValueCoder coder(CoderTraits<std::string>::of());
   Element element = make_element<std::string>("payload", 4200);
@@ -110,6 +151,71 @@ TEST(CoderTest, WindowedValueCoderPreservesMetadata) {
   EXPECT_FALSE(restored.pane.is_first);
   EXPECT_TRUE(restored.pane.is_last);
   EXPECT_EQ(restored.pane.index, 3);
+}
+
+// --- allocation-free envelope ---------------------------------------------------
+
+/// Allocations made while `sample` is built into a Value, copied, moved,
+/// copy-assigned, read back, and carried in a copied Element.
+template <typename T>
+std::uint64_t allocations_through_value(const T& sample, bool& read_back) {
+  const std::uint64_t before =
+      g_allocations.load(std::memory_order_relaxed);
+  {
+    Value built{sample};
+    Value copied{built};
+    Value moved{std::move(copied)};
+    Value assigned;
+    assigned = moved;
+    read_back = assigned.get<T>() == sample && moved.get<T>() == sample;
+    const Element element = make_element(sample, 42);
+    const Element element_copy = element;
+    read_back = read_back && element_value<T>(element_copy) == sample;
+  }
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+template <typename T>
+void expect_allocation_free(const T& sample, const char* type_name) {
+  bool read_back = false;
+  EXPECT_EQ(allocations_through_value(sample, read_back), 0u) << type_name;
+  EXPECT_TRUE(read_back) << type_name;
+}
+
+TEST(ValueTest, InlineTypesMoveThroughTheEnvelopeWithoutAllocating) {
+  // Strings stay within the small-string buffer (<= 15 bytes), and the
+  // Payloads are built up front: only the envelope's own work is counted.
+  const runtime::Payload key("key");
+  const runtime::Payload value("a record value that is long");
+  expect_allocation_free(std::string("short"), "std::string");
+  expect_allocation_free(KV<std::string, std::string>{"k", "v"},
+                         "KV<string, string>");
+  expect_allocation_free(value, "Payload");
+  expect_allocation_free(KV<runtime::Payload, runtime::Payload>{key, value},
+                         "KV<Payload, Payload>");
+  expect_allocation_free(KafkaRecord{.topic = "aol-queries",
+                                     .partition = 2,
+                                     .offset = 17,
+                                     .timestamp = 1000,
+                                     .key = key,
+                                     .value = value},
+                         "KafkaRecord");
+  expect_allocation_free(ProducerRecordStub{.key = key, .value = value},
+                         "ProducerRecordStub");
+  expect_allocation_free(std::int64_t{7}, "std::int64_t");
+  expect_allocation_free(2.5, "double");
+}
+
+TEST(ValueTest, OtherTypesAreStillBoxed) {
+  // Trivially copyable, but too large for std::any's small buffer: the
+  // fallback allocates, which also shows the counter sees allocations.
+  struct Wide {
+    std::int64_t a, b, c;
+    bool operator==(const Wide&) const = default;
+  };
+  bool read_back = false;
+  EXPECT_GT(allocations_through_value(Wide{1, 2, 3}, read_back), 0u);
+  EXPECT_TRUE(read_back);
 }
 
 // --- windowing -----------------------------------------------------------------
