@@ -10,14 +10,13 @@
 // After the micro-benchmarks, main() runs the fusion ablation: for every
 // query x engine it measures native, Beam unfused, and Beam fused
 // (STREAMSHIM_FUSE_STAGES semantics), and reports how much of each paper
-// slowdown factor the fusion pass recovers. The sweep is merged into
-// BENCH_dataplane.json as a "fusion" section.
+// slowdown factor the fusion pass recovers.
 //
 // The async-sinks ablation follows the same shape: every query x engine,
 // native and Beam, sync vs async sink producers (STREAMSHIM_ASYNC_SINKS
-// semantics), merged as an "async_sinks" section. So does the coder
-// ablation: Beam with and without the coder fast path
-// (STREAMSHIM_CODER_ELISION semantics), merged as a "coders" section.
+// semantics). So does the coder ablation: Beam with and without the coder
+// fast path (STREAMSHIM_CODER_ELISION semantics). Each sweep prints its
+// table.
 // STREAMSHIM_SWEEP selects which harness sweeps run
 // (all | fusion | async | coders); the Google-benchmark micro rows always
 // run and obey --benchmark_filter.
@@ -445,10 +444,6 @@ std::vector<CoderRow> run_coders_sweep(const harness::HarnessConfig& base) {
   return rows;
 }
 
-/// Shared with every section-writing bench: replaces one section of
-/// BENCH_dataplane.json in place without disturbing the others.
-using bench::merge_section_into_dataplane;
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -484,25 +479,6 @@ int main(int argc, char** argv) {
                   row.unfused_seconds, row.fused_seconds, row.unfused_factor,
                   row.fused_factor, row.recovered_fraction * 100.0);
     }
-
-    std::string section = "  \"fusion\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& row = rows[i];
-      char line[512];
-      std::snprintf(line, sizeof(line),
-                    "    {\"engine\": \"%s\", \"query\": \"%s\", "
-                    "\"native_seconds\": %.6f, \"unfused_seconds\": %.6f, "
-                    "\"fused_seconds\": %.6f, \"unfused_factor\": %.4f, "
-                    "\"fused_factor\": %.4f, \"recovered_fraction\": %.4f}%s\n",
-                    row.engine.c_str(), row.query.c_str(), row.native_seconds,
-                    row.unfused_seconds, row.fused_seconds, row.unfused_factor,
-                    row.fused_factor, row.recovered_fraction,
-                    i + 1 < rows.size() ? "," : "");
-      section += line;
-    }
-    section += "  ]\n";
-    if (!merge_section_into_dataplane("fusion", section)) return 1;
-    std::printf("\nwrote fusion section into BENCH_dataplane.json\n");
   }
 
   if (do_async) {
@@ -526,30 +502,6 @@ int main(int argc, char** argv) {
     const std::string pipeline_block = harness::render_producer_pipeline(
         runtime::MetricsRegistry::global().snapshot());
     if (!pipeline_block.empty()) std::printf("\n%s", pipeline_block.c_str());
-
-    std::string section = "  \"async_sinks\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& row = rows[i];
-      char line[640];
-      std::snprintf(
-          line, sizeof(line),
-          "    {\"engine\": \"%s\", \"query\": \"%s\", \"records\": %llu, "
-          "\"native_sync_seconds\": %.6f, \"native_async_seconds\": %.6f, "
-          "\"beam_sync_seconds\": %.6f, \"beam_async_seconds\": %.6f, "
-          "\"beam_sync_factor\": %.4f, \"beam_async_factor\": %.4f, "
-          "\"native_speedup\": %.4f, \"beam_speedup\": %.4f, "
-          "\"recovered_fraction\": %.4f}%s\n",
-          row.engine.c_str(), row.query.c_str(),
-          static_cast<unsigned long long>(config.records),
-          row.native_sync_seconds, row.native_async_seconds,
-          row.beam_sync_seconds, row.beam_async_seconds, row.beam_sync_factor,
-          row.beam_async_factor, row.native_speedup, row.beam_speedup,
-          row.recovered_fraction, i + 1 < rows.size() ? "," : "");
-      section += line;
-    }
-    section += "  ]\n";
-    if (!merge_section_into_dataplane("async_sinks", section)) return 1;
-    std::printf("\nwrote async_sinks section into BENCH_dataplane.json\n");
   }
 
   if (do_coders) {
@@ -570,29 +522,6 @@ int main(int argc, char** argv) {
           row.elided_factor, row.recovered_fraction * 100.0,
           static_cast<unsigned long long>(row.elided_edges));
     }
-
-    std::string section = "  \"coders\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& row = rows[i];
-      char line[640];
-      std::snprintf(
-          line, sizeof(line),
-          "    {\"engine\": \"%s\", \"query\": \"%s\", \"records\": %llu, "
-          "\"native_seconds\": %.6f, \"beam_seconds\": %.6f, "
-          "\"elided_seconds\": %.6f, \"beam_factor\": %.4f, "
-          "\"elided_factor\": %.4f, \"recovered_fraction\": %.4f, "
-          "\"elided_edges\": %llu}%s\n",
-          row.engine.c_str(), row.query.c_str(),
-          static_cast<unsigned long long>(config.records), row.native_seconds,
-          row.beam_seconds, row.elided_seconds, row.beam_factor,
-          row.elided_factor, row.recovered_fraction,
-          static_cast<unsigned long long>(row.elided_edges),
-          i + 1 < rows.size() ? "," : "");
-      section += line;
-    }
-    section += "  ]\n";
-    if (!merge_section_into_dataplane("coders", section)) return 1;
-    std::printf("\nwrote coders section into BENCH_dataplane.json\n");
   }
   return 0;
 }

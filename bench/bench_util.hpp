@@ -55,102 +55,6 @@ inline std::vector<std::pair<std::string, harness::SerdeStats>> setup_serde(
   return per_setup;
 }
 
-/// Merges `section` (already formatted as `  "key": <value>\n`) into
-/// BENCH_dataplane.json, replacing a previous section with the same key
-/// while leaving every other section intact. Returns false when the file
-/// cannot be written.
-inline bool merge_section_into_dataplane(const std::string& key,
-                                         const std::string& section) {
-  const char* path = "BENCH_dataplane.json";
-  std::string existing;
-  if (std::FILE* in = std::fopen(path, "r")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-      existing.append(buf, n);
-    }
-    std::fclose(in);
-  }
-  // The key is matched with its colon so quoted values containing the key
-  // (metric names like runtime.profile.*) can never false-positive.
-  const std::size_t prior = existing.find("\"" + key + "\":");
-  if (prior != std::string::npos) {
-    // Excise exactly this section (key through the end of its value),
-    // leaving any sections merged after it intact. The value scanner
-    // tracks bracket depth and skips strings, so nested arrays/objects
-    // and quoted setup names don't fool it.
-    std::size_t value_end = std::string::npos;
-    const std::size_t colon = existing.find(':', prior);
-    int depth = 0;
-    bool in_string = false;
-    for (std::size_t i = colon == std::string::npos ? existing.size()
-                                                    : colon + 1;
-         i < existing.size(); ++i) {
-      const char c = existing[i];
-      if (in_string) {
-        if (c == '\\') {
-          ++i;
-        } else if (c == '"') {
-          in_string = false;
-        }
-        continue;
-      }
-      if (c == '"') {
-        in_string = true;
-      } else if (c == '[' || c == '{') {
-        ++depth;
-      } else if (c == ']' || c == '}') {
-        if (depth == 0) {
-          value_end = i;  // document's closing brace: scalar value ended
-          break;
-        }
-        if (--depth == 0) {
-          value_end = i + 1;  // closing bracket of the section's value
-          break;
-        }
-      } else if (c == ',' && depth == 0) {
-        value_end = i;  // scalar value: stop before the separating comma
-        break;
-      }
-    }
-    if (value_end != std::string::npos) {
-      std::size_t cut_begin = existing.rfind(',', prior);
-      std::size_t cut_end = value_end;
-      if (cut_begin == std::string::npos) {
-        cut_begin = prior;
-        // First member: swallow the following comma instead.
-        const std::size_t next = existing.find_first_not_of(" \n", cut_end);
-        if (next != std::string::npos && existing[next] == ',') {
-          cut_end = next + 1;
-        }
-      }
-      existing = existing.substr(0, cut_begin) + existing.substr(cut_end);
-    } else {
-      // Unparseable tail: fall back to rebuilding from scratch.
-      existing.clear();
-    }
-  }
-  const std::size_t close = existing.find_last_of('}');
-  std::string merged;
-  if (close != std::string::npos) {
-    merged = existing.substr(0, close);
-    while (!merged.empty() && (merged.back() == '\n' || merged.back() == ' ')) {
-      merged.pop_back();
-    }
-    merged += ",\n" + section + "}\n";
-  } else {
-    merged = "{\n" + section + "}\n";
-  }
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return false;
-  }
-  std::fwrite(merged.data(), 1, merged.size(), out);
-  std::fclose(out);
-  return true;
-}
-
 /// Runs every requested setup, reporting progress on stderr.
 inline harness::MeasurementSet run_setups(
     harness::BenchmarkHarness& harness,

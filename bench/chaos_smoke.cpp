@@ -1,18 +1,15 @@
 // Chaos smoke: one faulted-and-recovered Identity run per engine x SDK.
 //
-// Companion to perf_smoke: where that target tracks the healthy data plane,
-// this one tracks the *recovery* plane — how many restarts a seeded kill
-// schedule costs each engine, how many records get replayed, and the
-// wall-clock recovery overhead versus an unfaulted run of the same setup.
-// Per-setup numbers are published into the unified MetricsRegistry under
-// chaos.<setup>.* and merged into BENCH_dataplane.json as a "chaos" section
-// (appended to perf_smoke's output when that file exists, standalone
-// otherwise) so one JSON carries both trajectories.
+// Tracks the *recovery* plane: how many restarts a seeded kill schedule
+// costs each engine, how many records get replayed, and the wall-clock
+// recovery overhead versus an unfaulted run of the same setup. Per-setup
+// numbers are published into the unified MetricsRegistry under
+// chaos.<setup>.* and printed as a table; the exit code is nonzero when any
+// setup failed to recover or saw no injected fault.
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/clock.hpp"
 #include "harness/benchmark.hpp"
 #include "harness/report.hpp"
@@ -187,27 +184,5 @@ int main() {
   std::printf("\n%s",
               harness::render_recovery_summary(global.snapshot()).c_str());
 
-  // Merge into perf_smoke's BENCH_dataplane.json when present (CI runs
-  // perf_smoke first); write a standalone document otherwise.
-  const char* path = "BENCH_dataplane.json";
-  std::string chaos = "  \"chaos\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    char line[512];
-    std::snprintf(line, sizeof(line),
-                  "    {\"setup\": \"%s\", \"clean_ms\": %.3f, "
-                  "\"faulted_ms\": %.3f, \"faults_injected\": %llu, "
-                  "\"restarts\": %llu, \"replayed_records\": %llu}%s\n",
-                  r.setup.c_str(), r.clean_ms, r.faulted_ms,
-                  static_cast<unsigned long long>(r.injected),
-                  static_cast<unsigned long long>(r.restarts),
-                  static_cast<unsigned long long>(r.replayed),
-                  i + 1 < results.size() ? "," : "");
-    chaos += line;
-  }
-  chaos += "  ]\n";
-
-  if (!bench::merge_section_into_dataplane("chaos", chaos)) return 1;
-  std::printf("\nwrote chaos section into %s\n", path);
   return all_ok ? 0 : 1;
 }

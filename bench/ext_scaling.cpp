@@ -12,10 +12,6 @@
 //                              does the abstraction penalty grow or shrink
 //                              as the plan fans out?
 //
-// The result lands as a "scaling" section in BENCH_dataplane.json (merged
-// next to perf_smoke's "setups" and chaos_smoke's "chaos" sections) so CI
-// can gate on it once a baseline is committed.
-//
 // STREAMSHIM_SCALING_POINTS=1,4 (or --parallelism 1,4) restricts the sweep
 // to a subset — CI smoke runs P1/P4 only.
 #include <algorithm>
@@ -199,26 +195,5 @@ int main(int argc, char** argv) {
                                     : "BELOW the 2.5x scale-out bar");
   }
 
-  // Merge a "scaling" section into BENCH_dataplane.json (same idiom as
-  // chaos_smoke): replace any prior section, append before the final '}'.
-  const char* path = "BENCH_dataplane.json";
-  std::string scaling = "  \"scaling\": [\n";
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    const auto& row = table[i];
-    char line[512];
-    std::snprintf(line, sizeof(line),
-                  "    {\"setup\": \"%s\", \"query\": \"%s\", "
-                  "\"parallelism\": %d, \"records_per_sec\": %.3f, "
-                  "\"speedup\": %.4f, \"efficiency\": %.4f, "
-                  "\"slowdown\": %.4f}%s\n",
-                  row.setup.c_str(), row.query.c_str(), row.parallelism,
-                  row.records_per_sec, row.speedup, row.efficiency,
-                  row.slowdown, i + 1 < table.size() ? "," : "");
-    scaling += line;
-  }
-  scaling += "  ]\n";
-
-  if (!bench::merge_section_into_dataplane("scaling", scaling)) return 1;
-  std::printf("wrote scaling section into %s\n", path);
   return 0;
 }

@@ -17,9 +17,9 @@
 // LoadGenerator's cycled pool makes the kept-index list reconstructible).
 // Percentiles run through the HDR TimeHistogram.
 //
-// Results merge into BENCH_dataplane.json as a "sustained" section:
-//   {"rows": [{setup, query, max_rate, p50_us, p99_us, p999_us, ...}, ...],
-//    "overload": {...}}   (2x-capacity probe with the CreditGate armed)
+// The sweep prints one row per setup (knee rate, p50/p99/p999 event-time
+// latency at 80% of the knee), then a 2x-knee overload probe with the
+// CreditGate armed; the exit code is nonzero when any probe failed.
 //
 // --soak: CI mode — short open-loop run at 1.2x a quickly-estimated
 // capacity with backpressure, retention and the stall watchdog armed;
@@ -32,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/clock.hpp"
 #include "common/env.hpp"
 #include "harness/benchmark.hpp"
@@ -199,8 +198,6 @@ struct SetupRow {
   std::string setup;
   std::string query;
   double max_rate = 0.0;
-  double achieved_rate = 0.0;
-  double drain_seconds = 0.0;
   std::uint64_t p50_us = 0;
   std::uint64_t p99_us = 0;
   std::uint64_t p999_us = 0;
@@ -249,8 +246,6 @@ SetupRow sweep_setup(Engine engine, Sdk sdk, QueryId query,
   const ProbeResult probe = run_probe(engine, sdk, query, sweep,
                                       0.8 * good, &latency_registry);
   if (!probe.ok) return row;
-  row.achieved_rate = probe.achieved_rate;
-  row.drain_seconds = probe.drain_seconds;
   const auto snapshot = latency_registry.snapshot();
   if (auto it = snapshot.histograms.find("latency");
       it != snapshot.histograms.end()) {
@@ -369,49 +364,6 @@ OverloadResult run_overload_probe(Engine engine, Sdk sdk, QueryId query,
   return result;
 }
 
-void merge_into_bench_json(const std::vector<SetupRow>& rows,
-                           const OverloadResult& overload) {
-  std::string section = "  \"sustained\": {\n    \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    char line[512];
-    std::snprintf(
-        line, sizeof(line),
-        "      {\"setup\": \"%s\", \"query\": \"%s\", \"max_rate\": %.0f, "
-        "\"achieved_rate\": %.0f, \"drain_s\": %.3f, \"p50_us\": %llu, "
-        "\"p99_us\": %llu, \"p999_us\": %llu}%s\n",
-        r.setup.c_str(), r.query.c_str(), r.max_rate, r.achieved_rate,
-        r.drain_seconds, static_cast<unsigned long long>(r.p50_us),
-        static_cast<unsigned long long>(r.p99_us),
-        static_cast<unsigned long long>(r.p999_us),
-        i + 1 < rows.size() ? "," : "");
-    section += line;
-  }
-  section += "    ],\n";
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "    \"overload\": {\"offered_rate\": %.0f, \"achieved_rate\": %.0f, "
-      "\"shed\": %llu, \"throttle_waits\": %llu, \"transitions\": %llu, "
-      "\"watchdog_stalls\": %llu, \"rss_delta_kb\": %lld, "
-      "\"retained_bytes\": %lld, \"ok\": %s}\n",
-      overload.offered_rate, overload.achieved_rate,
-      static_cast<unsigned long long>(overload.shed),
-      static_cast<unsigned long long>(overload.throttle_waits),
-      static_cast<unsigned long long>(overload.overload_transitions),
-      static_cast<unsigned long long>(overload.watchdog_stalls),
-      static_cast<long long>(overload.rss_delta_kb),
-      static_cast<long long>(overload.retained_bytes),
-      overload.ok ? "true" : "false");
-  section += buf;
-  section += "  }\n";
-
-  const char* path = "BENCH_dataplane.json";
-  if (bench::merge_section_into_dataplane("sustained", section)) {
-    std::printf("\nwrote sustained section into %s\n", path);
-  }
-}
-
 int run_sweep() {
   const SweepConfig sweep = SweepConfig::from_env();
   std::printf(
@@ -457,17 +409,18 @@ int run_sweep() {
                                   QueryId::kIdentity, sweep, knee, 2.0);
     std::printf(
         "  offered %.0f ev/s -> admitted %.0f ev/s, shed %llu, "
-        "throttle_waits %llu, rss +%lld kB, retained %lld B, stalls %llu\n",
+        "throttle_waits %llu, transitions %llu, rss +%lld kB, retained %lld B, "
+        "stalls %llu\n",
         overload.offered_rate, overload.achieved_rate,
         static_cast<unsigned long long>(overload.shed),
         static_cast<unsigned long long>(overload.throttle_waits),
+        static_cast<unsigned long long>(overload.overload_transitions),
         static_cast<long long>(overload.rss_delta_kb),
         static_cast<long long>(overload.retained_bytes),
         static_cast<unsigned long long>(overload.watchdog_stalls));
     all_ok = all_ok && overload.ok;
   }
 
-  merge_into_bench_json(rows, overload);
   return all_ok ? 0 : 1;
 }
 

@@ -22,8 +22,8 @@
 // nested under a sampled scope is timed exactly so self-times decompose
 // without double counting. Per-batch scopes (Mode::kAlways) are always
 // timed; they fire orders of magnitude less often. This keeps the armed
-// overhead inside the hard <2% budget that scripts/check_perf_regression.py
-// gates in CI.
+// overhead inside the hard <2% budget that tests/test_profiler.cpp
+// (ArmedOverheadStaysUnderBudget) enforces.
 //
 // Costs accumulate in thread-local slabs (plain, uncontended writes) that
 // flush into global sharded cells every kFlushPending samples and at task

@@ -9,12 +9,16 @@
 //   - fused Beam composites attribute per member, not per composite;
 //   - per-thread slab flushes race-cleanly against live snapshots (the
 //     TSan job runs this binary);
+//   - every engine x SDK x query setup attributes time with the profiler
+//     armed (an execution path that bypasses the invoker attributes none);
 //   - the armed profiler stays inside its <2% overhead budget on the
-//     hottest data-plane path (perf_smoke's Flink-native Identity).
+//     hottest data-plane path (Flink native Identity).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +29,7 @@
 #include "beam/fusion.hpp"
 #include "beam/stage.hpp"
 #include "harness/benchmark.hpp"
+#include "harness/figures.hpp"
 #include "runtime/invoker.hpp"
 #include "runtime/policy.hpp"
 #include "runtime/profiler.hpp"
@@ -304,10 +309,59 @@ TEST_F(ProfilerTest, PolicyEngineAdaptsToQueueShare) {
   EXPECT_DOUBLE_EQ(policy.flink_multiplier(), 1.0);
 }
 
-// The acceptance budget: an armed profiler costs < 2% on the hottest
-// path. Interleaved best-of-N Identity runs on Flink native, exactly the
-// probe profile_smoke gates in CI. Timing is meaningless under
-// sanitizers, so the TSan/ASan jobs skip the assertion.
+// With the profiler armed, every setup of the figure matrix attributes
+// time: an engine or SDK whose execution path fell off the unified invoker
+// would attribute nothing. The TSan job runs this over the full matrix.
+TEST_F(ProfilerTest, EverySetupAttributesTime) {
+  harness::HarnessConfig config;
+  config.records = 2'000;
+  config.runs = 1;
+  config.profile = true;
+  harness::BenchmarkHarness bench(config);
+  for (const auto& key : harness::full_matrix()) {
+    const auto measurements = bench.run_setup(key);
+    ASSERT_TRUE(measurements.is_ok()) << harness::setup_label(key);
+    EXPECT_GT(measurements.value().profile.attributed_us(), 0u)
+        << harness::setup_label(key) << " "
+        << workload::query_info(key.query).name;
+  }
+}
+
+// Armed-minus-disarmed cost of one scope entry in ns: a tight loop of
+// scopes, best of 5 loops per side.
+double scope_cost_ns(Stage stage, ScopedStage::Mode mode, std::uint32_t op) {
+  auto& profiler = Profiler::instance();
+  constexpr int kScopes = 500'000;
+  const auto best_loop_ns = [&] {
+    double best = 0.0;
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      for (int i = 0; i < kScopes; ++i) {
+        ScopedStage scope(stage, mode, op);
+      }
+      const double ns = std::chrono::duration<double, std::nano>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+      if (rep == 0 || ns < best) best = ns;
+    }
+    return best;
+  };
+  profiler.disarm();
+  const double disarmed_ns = best_loop_ns();
+  profiler.arm();
+  const double armed_ns = best_loop_ns();
+  profiler.disarm();
+  return std::max(0.0, (armed_ns - disarmed_ns) / kScopes);
+}
+
+// The acceptance budget: an armed profiler costs < 2% on the hottest path
+// (Flink native Identity, a few hundred ns per record). Timing whole armed
+// and disarmed runs against each other cannot resolve 2%: separate runs of
+// the same ~15 ms span differ by far more than that. So the overhead is
+// estimated from parts that can be measured tightly:
+//   scope entries per record (the probe's armed snapshot) x armed cost per
+//   scope entry (tight loop) / median disarmed span per record.
+// Timing is meaningless under sanitizers, so the TSan/ASan jobs skip it.
 TEST_F(ProfilerTest, ArmedOverheadStaysUnderBudget) {
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
   GTEST_SKIP() << "timing budget not meaningful under sanitizers";
@@ -325,34 +379,53 @@ TEST_F(ProfilerTest, ArmedOverheadStaysUnderBudget) {
                                 .query = workload::QueryId::kIdentity,
                                 .parallelism = 1};
   auto& profiler = Profiler::instance();
-  // Up to three attempts, keeping the best observed overhead: the minimum
-  // over interleaved best-of-N pairs is a noise-robust upper bound on the
-  // true overhead, and one clean attempt suffices to prove the budget.
-  double best_overhead_pct = 1e9;
-  for (int attempt = 0; attempt < 3 && best_overhead_pct >= 2.0; ++attempt) {
-    double best_disarmed = 0.0;
-    double best_armed = 0.0;
-    constexpr int kPairs = 8;
-    for (int i = 0; i < kPairs; ++i) {
-      profiler.disarm();
-      auto off = bench.run_once(probe);
-      ASSERT_TRUE(off.is_ok());
-      if (i == 0 || off.value().execution_seconds < best_disarmed) {
-        best_disarmed = off.value().execution_seconds;
-      }
-      profiler.arm();
-      auto on = bench.run_once(probe);
-      ASSERT_TRUE(on.is_ok());
-      if (i == 0 || on.value().execution_seconds < best_armed) {
-        best_armed = on.value().execution_seconds;
-      }
-    }
-    profiler.disarm();
-    ASSERT_GT(best_disarmed, 0.0);
-    best_overhead_pct = std::min(best_overhead_pct,
-                                 (best_armed / best_disarmed - 1.0) * 100.0);
+  const double records = static_cast<double>(config.records);
+
+  profiler.disarm();
+  std::vector<double> spans;
+  for (int i = 0; i < 5; ++i) {
+    auto run = bench.run_once(probe);
+    ASSERT_TRUE(run.is_ok());
+    spans.push_back(run.value().execution_seconds);
   }
-  EXPECT_LT(best_overhead_pct, 2.0)
+  std::sort(spans.begin(), spans.end());
+  const double span_ns_per_record = spans[spans.size() / 2] * 1e9 / records;
+  ASSERT_GT(span_ns_per_record, 0.0);
+
+  profiler.arm();
+  ASSERT_TRUE(bench.run_once(probe).is_ok());
+  profiler.disarm();
+  const ProfileSnapshot armed = profiler.snapshot();
+  // The invoker opens user_fn, decode and encode scopes as kSampled and
+  // every other stage as kAlways (invoker.hpp).
+  double sampled_calls = 0.0;
+  double always_calls = 0.0;
+  for (std::size_t s = 0; s < runtime::kStageCount; ++s) {
+    const auto stage = static_cast<Stage>(s);
+    const bool sampled = stage == Stage::kUserFn || stage == Stage::kDecode ||
+                         stage == Stage::kEncode;
+    (sampled ? sampled_calls : always_calls) +=
+        static_cast<double>(armed.stages[s].calls);
+  }
+  const double sampled_per_record = sampled_calls / records;
+  const double always_per_record = always_calls / records;
+  ASSERT_GT(sampled_per_record, 0.0) << "the probe attributed no scopes";
+
+  const std::uint32_t op = profiler.operator_id("test.overhead");
+  const double sampled_ns =
+      scope_cost_ns(Stage::kUserFn, ScopedStage::Mode::kSampled, op);
+  const double always_ns =
+      scope_cost_ns(Stage::kQueueWait, ScopedStage::Mode::kAlways, op);
+
+  const double overhead_pct = (sampled_per_record * sampled_ns +
+                               always_per_record * always_ns) /
+                              span_ns_per_record * 100.0;
+  std::printf(
+      "armed overhead %.2f%%: %.3f sampled x %.2f ns + %.4f always-timed x "
+      "%.1f ns per record, over a median span of %.1f ns/record\n",
+      overhead_pct, sampled_per_record, sampled_ns, always_per_record,
+      always_ns, span_ns_per_record);
+  EXPECT_LT(overhead_pct, 2.0)
       << "armed profiler overhead exceeds the 2% budget";
 }
 
